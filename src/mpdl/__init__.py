@@ -8,7 +8,7 @@ exchanged values reveal, and cross-party gradient corrections travel
 under additively homomorphic encryption.
 """
 
-from .central import SplitCentralModel, central_forward_backward, evaluate, \
+from .central import SplitCentralModel, central_forward_backward, \
     init_split_central, one_hot, party_backward, party_forward, to_monolithic
 from .data import FeatureSplit, GammaSplit, PartyDataset, SplitSpec, \
     blinded_intersection, kfold_split, load_idx, load_normalize, \
@@ -23,7 +23,7 @@ from .nn import DenseLayer, Mlp, backprop_from_output_grad, \
     dual_hidden_width, init_mlp, loss_eval, mlp_forward, sgd_step
 from .orchestrator import MpdlConfig, MpdlResult, PreparedExperiment, \
     RunReport, inference_mae, mpdl_train, predict_unlabeled, \
-    prepare_experiment
+    prepare_experiment, split_predict, split_train
 from .paillier import CipherVector, FixedPoint, KeyPair, PublicKey, \
     SecretKey, add_cipher, decode, decrypt_vector, encode, encrypt_vector, \
     keygen, mul_plain, negate_cipher

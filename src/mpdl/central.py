@@ -7,7 +7,9 @@ and returns one error matrix for the shared hidden layer; each party
 then updates its local layer from that delta and its own inputs.  The
 arithmetic is exactly that of the concatenated monolithic network, so
 split training loses nothing; ``to_monolithic`` exists to state that
-equivalence as a testable identity.
+equivalence as a testable identity.  This module holds the per-site
+arithmetic only; ``orchestrator.split_train`` and ``split_predict``
+route it through a hub.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .nn import DenseLayer, LayerGrad, Mlp, activation_prime, \
     apply_activation, as_batch, backprop_from_output_grad, dual_hidden_width, \
-    glorot_uniform, init_mlp, loss_eval, mlp_forward, sgd_step
+    glorot_uniform, init_mlp, loss_eval, mlp_forward
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -141,48 +143,6 @@ def party_backward(local: DenseLayer, delta, x, lr: float) -> DenseLayer:
     # affine layer exactly.
     return DenseLayer(local.weights - lr * (d.T @ xb),
                       local.bias - lr * 0.5 * d.sum(axis=0), "identity")
-
-
-def central_step(model: SplitCentralModel, x_a, x_b, labels,
-                 lr: float) -> tuple[SplitCentralModel, float]:
-    """One full split SGD step over a batch; returns the updated model."""
-    z_a = party_forward(model.local_a, x_a)
-    z_b = party_forward(model.local_b, x_b)
-    step = central_forward_backward(model, CentralBatch(z_a, z_b, labels))
-    new_central = sgd_step(model.central, step.central_grads, lr)
-    return SplitCentralModel(
-        party_backward(model.local_a, step.delta_a, x_a, lr),
-        party_backward(model.local_b, step.delta_b, x_b, lr),
-        new_central, model.split_activation), step.loss
-
-
-def train_split(model: SplitCentralModel, x_a, x_b, labels, lr: float,
-                epochs: int, batch_size: int,
-                rng: np.random.Generator) -> SplitCentralModel:
-    """Plain minibatch SGD over seeded shuffles of the training rows."""
-    x_a = as_batch(x_a)
-    x_b = as_batch(x_b)
-    n = x_a.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            model, _ = central_step(model, x_a[idx], x_b[idx], labels[idx],
-                                    lr)
-    return model
-
-
-def predict(model: SplitCentralModel, x_a, x_b) -> np.ndarray:
-    z = party_forward(model.local_a, x_a) + party_forward(model.local_b, x_b)
-    hidden = apply_activation(model.split_activation, z)
-    probs, _ = mlp_forward(model.central, hidden)
-    return probs.argmax(axis=1)
-
-
-def evaluate(model: SplitCentralModel, x_a, x_b, labels) -> float:
-    """Argmax accuracy on a batch that carries both parties' features."""
-    lab = np.asarray(labels, dtype=np.int64)
-    return float((predict(model, x_a, x_b) == lab).mean())
 
 
 def to_monolithic(model: SplitCentralModel) -> Mlp:

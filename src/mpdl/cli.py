@@ -51,14 +51,13 @@ DEFAULTS = {
     "label_column": "label",
     "no_encryption": False,
     "exact_duality_grad": False,
-    "unsafe_audit": False,
 }
 
 _FLOAT_KEYS = {"gamma", "epsilon", "lam", "lr", "threshold", "test_fraction",
                "holdout_fraction"}
 _INT_KEYS = {"folds", "max_iters", "dual_epochs", "central_epochs",
              "batch_size", "key_bits", "repeats", "seed", "synthetic_nodes"}
-_BOOL_KEYS = {"no_encryption", "exact_duality_grad", "unsafe_audit"}
+_BOOL_KEYS = {"no_encryption", "exact_duality_grad"}
 
 
 def content_hash(path: str) -> str:
@@ -166,9 +165,10 @@ def _run_batch(ds, settings: dict, gamma: float, epsilon: float):
         data = prepare_experiment(ds, gamma, seed=seed,
                                   test_fraction=settings["test_fraction"])
         config = build_config(settings, gamma, epsilon, seed)
-        report = mpdl_train(data, config).report
+        result = mpdl_train(data, config)
+        result.hub.close()
         for k in keys:
-            stats[k].append(getattr(report, k))
+            stats[k].append(getattr(result.report, k))
     return {k: (float(np.mean(v)), float(np.std(v)))
             for k, v in stats.items()}
 
@@ -337,8 +337,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-encryption", dest="no_encryption",
                        action="store_const", const=True)
         p.add_argument("--exact-duality-grad", dest="exact_duality_grad",
-                       action="store_const", const=True)
-        p.add_argument("--unsafe-audit", dest="unsafe_audit",
                        action="store_const", const=True)
 
     p_mpdl = sub.add_parser("mpdl", help="accuracy table over gammas")

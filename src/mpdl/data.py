@@ -188,9 +188,8 @@ def partition_features(ds: PartyDataset, assignment=None,
     if assignment is None:
         rng = np.random.default_rng(seed)
         order = rng.permutation(n_cols)
-        half = n_cols // 2
-        assignment = ["B" if i in set(order[:half]) else "A"
-                      for i in range(n_cols)]
+        to_b = set(order[:n_cols // 2])
+        assignment = ["B" if i in to_b else "A" for i in range(n_cols)]
     assignment = list(assignment)
     if len(assignment) != n_cols or set(assignment) - {"A", "B"}:
         raise ValueError("assignment must tag every column A or B")
@@ -271,16 +270,14 @@ def kfold_split(ids, k: int, seed: int = 0) -> list[tuple]:
 
 # -- blinded entity alignment --------------------------------------------------
 
-def _hmac(key: bytes, payload: bytes, digest_bytes: int) -> bytes:
-    return hmac.new(key, payload, hashlib.sha256).digest()[:digest_bytes]
+def id_token(key: bytes, identifier, nbytes: int) -> bytes:
+    """Keyed hash of an id's repr, truncated to ``nbytes``."""
+    return hmac.new(key, repr(identifier).encode("utf-8"),
+                    hashlib.sha256).digest()[:nbytes]
 
 
 def _xor(token: bytes, mask: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(token, mask))
-
-
-def _id_bytes(identifier) -> bytes:
-    return repr(identifier).encode("utf-8")
 
 
 def blinded_intersection(ids_a, ids_b, rng: np.random.Generator,
@@ -329,8 +326,7 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
     # message 2: A -> B, A's keyed-hashed ids under A's private mask
     mask_a = draw(digest_bytes)
     order_a = list(ids_a)
-    hashed_a = [_hmac(session_key, _id_bytes(i), digest_bytes)
-                for i in order_a]
+    hashed_a = [id_token(session_key, i, digest_bytes) for i in order_a]
     if len(set(hashed_a)) != len(hashed_a):
         raise AlignmentCollisionError("keyed hash collided inside A's set")
     hub.send("A", "B", MessageKind.BlindedIds,
@@ -340,8 +336,7 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
 
     # message 3: B -> A, A's tokens double-masked plus B's masked tokens
     mask_b = draw(digest_bytes)
-    hashed_b = {_hmac(session_key, _id_bytes(i), digest_bytes): i
-                for i in ids_b}
+    hashed_b = {id_token(session_key, i, digest_bytes): i for i in ids_b}
     if len(hashed_b) != len(ids_b):
         raise AlignmentCollisionError("keyed hash collided inside B's set")
     double_masked_a = [_xor(t, mask_b) for t in blinded_a]

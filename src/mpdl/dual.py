@@ -27,7 +27,7 @@ from .data import PartyDataset
 from .density import KdeModel, grad_log_density_batch, log_density_batch
 from .nn import Mlp, backprop_from_output_grad, clip_global_norm, \
     loss_eval, mlp_forward, sgd_step
-from .paillier import CipherVector, KeyPair, PublicKey
+from .paillier import CipherVector, KeyPair, PublicKey, SecretKey
 from .transport import Hub, MessageKind, ProtocolMessage, pack_ciphers, \
     pack_matrix, unpack_ciphers, unpack_matrix
 
@@ -114,31 +114,67 @@ def dual_output_grad(align_grad, grad_logp_xhat, own_residual,
     return g + lam * factor * glp * (own + cross)[:, None] / g.shape[0]
 
 
-def _send_matrix(hub: Hub, sender: str, receiver: str, kind: MessageKind,
-                 arr, tag) -> ProtocolMessage:
-    return hub.send(sender, receiver, kind, pack_matrix(arr), batch_tag=tag)
-
-
-def _recv_matrix(hub: Hub, receiver: str, sender: str, kind: MessageKind,
-                 record: DualRoundTranscript) -> np.ndarray:
+def _exchange(hub: Hub, sender: str, receiver: str, kind: MessageKind,
+              payload: bytes, tag, record: DualRoundTranscript
+              ) -> ProtocolMessage:
+    """Send one message, take delivery at the receiver and log it."""
+    hub.send(sender, receiver, kind, payload, batch_tag=tag)
     msg = hub.recv(receiver, sender, kind)
     record.messages.append(msg)
-    return unpack_matrix(msg.payload)
+    return msg
 
 
-def _send_ciphers(hub: Hub, sender: str, receiver: str, cv: CipherVector,
-                  rows: int, cols: int, tag) -> ProtocolMessage:
-    payload = pack_ciphers(cv.key_id, cv.scale, rows, cols, cv.ciphertexts)
-    return hub.send(sender, receiver, MessageKind.CipherBlock, payload,
-                    batch_tag=tag)
+class _PaillierCodec:
+    """Residuals travel encrypted under their owner's key; the partner
+    scales them homomorphically and only the owner can open the product.
+
+    ``seal`` and ``cross`` return payloads, ``cross`` takes the sealed
+    residual payload as it arrived, and ``open`` decodes the cross term.
+    """
+
+    kind = MessageKind.CipherBlock
+    encrypts = True
+
+    def __init__(self, rng, scale: int):
+        self.rng = rng
+        self.scale = scale
+
+    def seal(self, pk: PublicKey, resid: np.ndarray) -> bytes:
+        cv = paillier.encrypt_vector(pk, resid, self.rng, self.scale)
+        return pack_ciphers(cv.key_id, cv.scale, len(resid), 1,
+                            cv.ciphertexts)
+
+    def cross(self, pk: PublicKey, sealed: bytes, mult: np.ndarray) -> bytes:
+        """[[-resid_i]] times row i of ``mult``, flattened row-major."""
+        key_id, scale, _, _, cts = unpack_ciphers(sealed)
+        neg = paillier.negate_cipher(pk, CipherVector(cts, scale, key_id))
+        cts = []
+        for c, row in zip(neg.ciphertexts, mult):
+            cts.extend(paillier.dual_scalar_product(
+                pk, c, neg.scale, row, self.scale).ciphertexts)
+        return pack_ciphers(pk.key_id, neg.scale * self.scale, *mult.shape,
+                            cts)
+
+    def open(self, sk: SecretKey, payload: bytes) -> np.ndarray:
+        key_id, scale, rows, cols, cts = unpack_ciphers(payload)
+        return paillier.decrypt_vector(
+            sk, CipherVector(cts, scale, key_id)).reshape(rows, cols)
 
 
-def _recv_ciphers(hub: Hub, receiver: str, sender: str,
-                  record: DualRoundTranscript) -> tuple[CipherVector, int, int]:
-    msg = hub.recv(receiver, sender, MessageKind.CipherBlock)
-    record.messages.append(msg)
-    key_id, scale, rows, cols, cts = unpack_ciphers(msg.payload)
-    return CipherVector(cts, scale, key_id), rows, cols
+class _ShadowCodec:
+    """Test shadow: the same values travel as plaintext float matrices."""
+
+    kind = MessageKind.GradTerm
+    encrypts = False
+
+    def seal(self, pk: PublicKey, resid: np.ndarray) -> bytes:
+        return pack_matrix(resid[:, None])
+
+    def cross(self, pk: PublicKey, sealed: bytes, mult: np.ndarray) -> bytes:
+        return pack_matrix(mult * -unpack_matrix(sealed))
+
+    def open(self, sk: SecretKey, payload: bytes) -> np.ndarray:
+        return unpack_matrix(payload)
 
 
 class _RoundHalf:
@@ -151,7 +187,10 @@ class _RoundHalf:
         self.factor = factor
         self.residual_clip = residual_clip
         self.out, self.cache = mlp_forward(state.model, batch)
-        self.received_xhat: np.ndarray | None = None
+        # filled in as the round's messages arrive; partner_resid is the
+        # payload the partner sealed its residual into
+        self.received_xhat = self.cross_mult = self.partner_resid = None
+        self.plain_in = self.cross_in = None
 
     def local_terms(self):
         """Plaintext gradient part and own residual, both own-space.
@@ -214,124 +253,53 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
         raise ValueError("residual_clip and grad_clip must be positive")
     record = DualRoundTranscript(batch_ids)
     audit = hub.unsafe_audit
+    codec = (_PaillierCodec(rng, cipher_scale) if use_encryption
+             else _ShadowCodec())
+    halves = {st.name: _RoundHalf(st, st.store.rows(batch_ids), factor,
+                                  residual_clip) for st in (state_a, state_b)}
 
-    half_a = _RoundHalf(state_a, state_a.store.rows(batch_ids), factor,
-                        residual_clip)
-    half_b = _RoundHalf(state_b, state_b.store.rows(batch_ids), factor,
-                        residual_clip)
-    n = len(batch_ids)
-    d_a = state_a.store.features.shape[1]
-    d_b = state_b.store.features.shape[1]
+    # (1-2) A -> B: xhat_B = f(x_A), then B -> A: xhat_A = g(x_B)
+    for src, dst in (("A", "B"), ("B", "A")):
+        msg = _exchange(hub, src, dst, MessageKind.InferredBatch,
+                        pack_matrix(halves[src].out), round_tag, record)
+        halves[dst].received_xhat = unpack_matrix(msg.payload)
 
-    # (1) A -> B: inferred partner-space batch xhat_B = f(x_A)
-    _send_matrix(hub, "A", "B", MessageKind.InferredBatch, half_a.out,
-                 round_tag)
-    half_b.received_xhat = _recv_matrix(hub, "B", "A",
-                                        MessageKind.InferredBatch, record)
+    # (3-6) B -> A, then A -> B: the plaintext part of the gradient for
+    # the partner generator's output, and the sealed own residual
+    # logP(xhat) - logP(x) under the sender's key
+    for src, dst in (("B", "A"), ("A", "B")):
+        plain, own_resid, halves[src].cross_mult = halves[src].local_terms()
+        msg = _exchange(hub, src, dst, MessageKind.GradTerm,
+                        pack_matrix(plain), round_tag, record)
+        halves[dst].plain_in = unpack_matrix(msg.payload)
+        msg = _exchange(hub, src, dst, codec.kind,
+                        codec.seal(halves[src].state.keys.public, own_resid),
+                        round_tag, record)
+        halves[dst].partner_resid = msg.payload
+        # a shadow-codec residual payload is already the plaintext
+        if audit and codec.encrypts:
+            record.shadow[msg.msg_id] = own_resid.copy()
 
-    # (2) B -> A: inferred batch xhat_A = g(x_B)
-    _send_matrix(hub, "B", "A", MessageKind.InferredBatch, half_b.out,
-                 round_tag)
-    half_a.received_xhat = _recv_matrix(hub, "A", "B",
-                                        MessageKind.InferredBatch, record)
-
-    # (3) B -> A: plaintext part of the gradient for f's output
-    plain_b, own_resid_b, cross_mult_b = half_b.local_terms()
-    _send_matrix(hub, "B", "A", MessageKind.GradTerm, plain_b, round_tag)
-    plain_for_a = _recv_matrix(hub, "A", "B", MessageKind.GradTerm, record)
-
-    # (4) B -> A: encrypted own residual logP(xhat_B) - logP(x_B)
-    if use_encryption:
-        enc_resid_b = paillier.encrypt_vector(state_b.keys.public,
-                                              own_resid_b, rng, cipher_scale)
-        _send_ciphers(hub, "B", "A", enc_resid_b, n, 1, round_tag)
-        cv_resid_b, _, _ = _recv_ciphers(hub, "A", "B", record)
+    # (7-8) A -> B, then B -> A: the cross product for the receiver's
+    # generator under the receiver's key: for each sample, the sender's
+    # lam * grad logP(xhat) times [[logP(x) - logP(xhat)]] of the receiver
+    for src, dst in (("A", "B"), ("B", "A")):
+        sender = halves[src]
+        msg = _exchange(hub, src, dst, codec.kind,
+                        codec.cross(sender.state.partner_public,
+                                    sender.partner_resid, sender.cross_mult),
+                        round_tag, record)
+        halves[dst].cross_in = codec.open(halves[dst].state.keys.secret,
+                                          msg.payload)
         if audit:
-            record.shadow[record.messages[-1].msg_id] = own_resid_b.copy()
-    else:
-        _send_matrix(hub, "B", "A", MessageKind.GradTerm,
-                     own_resid_b[:, None], round_tag)
-        cv_resid_b = _recv_matrix(hub, "A", "B", MessageKind.GradTerm,
-                                  record)[:, 0]
-
-    # (5) A -> B: plaintext part of the gradient for g's output
-    plain_a, own_resid_a, cross_mult_a = half_a.local_terms()
-    _send_matrix(hub, "A", "B", MessageKind.GradTerm, plain_a, round_tag)
-    plain_for_b = _recv_matrix(hub, "B", "A", MessageKind.GradTerm, record)
-
-    # (6) A -> B: encrypted own residual logP(xhat_A) - logP(x_A)
-    if use_encryption:
-        enc_resid_a = paillier.encrypt_vector(state_a.keys.public,
-                                              own_resid_a, rng, cipher_scale)
-        _send_ciphers(hub, "A", "B", enc_resid_a, n, 1, round_tag)
-        cv_resid_a, _, _ = _recv_ciphers(hub, "B", "A", record)
-        if audit:
-            record.shadow[record.messages[-1].msg_id] = own_resid_a.copy()
-    else:
-        _send_matrix(hub, "A", "B", MessageKind.GradTerm,
-                     own_resid_a[:, None], round_tag)
-        cv_resid_a = _recv_matrix(hub, "B", "A", MessageKind.GradTerm,
-                                  record)[:, 0]
-
-    # (7) A -> B: cross product for g, under B's key: for each sample,
-    # lam_A * grad logP_A(xhat_A) times [[logP(x_B) - logP(xhat_B)]]_B
-    if use_encryption:
-        neg_b = paillier.negate_cipher(state_a.partner_public, cv_resid_b)
-        cts = []
-        for i in range(n):
-            row = paillier.dual_scalar_product(
-                state_a.partner_public, neg_b.ciphertexts[i], neg_b.scale,
-                cross_mult_a[i], cipher_scale)
-            cts.extend(row.ciphertexts)
-        cross_cv = CipherVector(tuple(cts), neg_b.scale * cipher_scale,
-                                state_a.partner_public.key_id)
-        _send_ciphers(hub, "A", "B", cross_cv, n, d_a, round_tag)
-        got_cross_b, rows, cols = _recv_ciphers(hub, "B", "A", record)
-        cross_for_b = paillier.decrypt_vector(
-            state_b.keys.secret, got_cross_b).reshape(rows, cols)
-    else:
-        cross_plain = cross_mult_a * (-cv_resid_b)[:, None]
-        _send_matrix(hub, "A", "B", MessageKind.GradTerm, cross_plain,
-                     round_tag)
-        cross_for_b = _recv_matrix(hub, "B", "A", MessageKind.GradTerm,
-                                   record)
-    if audit:
-        record.shadow[record.messages[-1].msg_id] = cross_for_b.copy()
-
-    # (8) B -> A: cross product for f, under A's key
-    if use_encryption:
-        neg_a = paillier.negate_cipher(state_b.partner_public, cv_resid_a)
-        cts = []
-        for i in range(n):
-            row = paillier.dual_scalar_product(
-                state_b.partner_public, neg_a.ciphertexts[i], neg_a.scale,
-                cross_mult_b[i], cipher_scale)
-            cts.extend(row.ciphertexts)
-        cross_cv = CipherVector(tuple(cts), neg_a.scale * cipher_scale,
-                                state_b.partner_public.key_id)
-        _send_ciphers(hub, "B", "A", cross_cv, n, d_b, round_tag)
-        got_cross_a, rows, cols = _recv_ciphers(hub, "A", "B", record)
-        cross_for_a = paillier.decrypt_vector(
-            state_a.keys.secret, got_cross_a).reshape(rows, cols)
-    else:
-        cross_plain = cross_mult_b * (-cv_resid_a)[:, None]
-        _send_matrix(hub, "B", "A", MessageKind.GradTerm, cross_plain,
-                     round_tag)
-        cross_for_a = _recv_matrix(hub, "A", "B", MessageKind.GradTerm,
-                                   record)
-    if audit:
-        record.shadow[record.messages[-1].msg_id] = cross_for_a.copy()
+            record.shadow[msg.msg_id] = halves[dst].cross_in.copy()
 
     # local assembly and SGD: no further communication
-    total_grad_a = plain_for_a + cross_for_a
-    grads_a = clip_global_norm(backprop_from_output_grad(
-        state_a.model, half_a.cache, total_grad_a).layer_grads, grad_clip)
-    state_a.model = sgd_step(state_a.model, grads_a, state_a.lr)
-
-    total_grad_b = plain_for_b + cross_for_b
-    grads_b = clip_global_norm(backprop_from_output_grad(
-        state_b.model, half_b.cache, total_grad_b).layer_grads, grad_clip)
-    state_b.model = sgd_step(state_b.model, grads_b, state_b.lr)
+    for half in halves.values():
+        grads = clip_global_norm(backprop_from_output_grad(
+            half.state.model, half.cache,
+            half.plain_in + half.cross_in).layer_grads, grad_clip)
+        half.state.model = sgd_step(half.state.model, grads, half.state.lr)
 
     return DualRoundResult(DualModelPair(state_a.model, state_b.model),
                            record)

@@ -30,19 +30,18 @@ from random import Random
 import numpy as np
 
 from .central import SplitCentralModel, central_forward_backward, \
-    CentralBatch, init_split_central, party_backward, party_forward, sgd_step
+    CentralBatch, init_split_central, party_backward, party_forward
 from .data import GammaSplit, PartyDataset, FeatureSplit, SplitSpec, \
-    blinded_intersection, kfold_split, partition_features, split_by_gamma
+    blinded_intersection, id_token, kfold_split, partition_features, \
+    split_by_gamma
 from .density import fit_kde
 from .dual import DualModelPair, DualPartyState, dual_infer, run_dual_round
-from .nn import apply_activation, dual_hidden_width, init_mlp, mlp_forward
+from .nn import apply_activation, as_batch, dual_hidden_width, init_mlp, \
+    mlp_forward, sgd_step
 from .paillier import keygen
-from .privacy import DpConfig, OneShotPerturber
+from .privacy import SENSITIVITY_MODES, DpConfig, OneShotPerturber
 from .transport import Hub, MessageKind, ProtocolError, pack_json, \
     pack_matrix, pack_tokens, unpack_json, unpack_matrix, unpack_tokens
-from .data import _hmac, _id_bytes  # alignment token primitives
-
-SENSITIVITY_MODES = ("per_layer", "per_neuron")
 
 
 @dataclass(frozen=True)
@@ -200,63 +199,60 @@ class _FeatureSource:
         return np.vstack(out)
 
 
-def _central_pass(hub: Hub, model: SplitCentralModel, ids, src_a, store_b,
-                  labels_c: dict, lr: float, train: bool,
-                  tag: int | None = None):
-    """One batch through the split protocol; returns model and C-side probs."""
-    x_a = src_a.rows(ids)
-    x_b = store_b.rows(ids)
+def _partial_sums(hub: Hub, model: SplitCentralModel, x_a, x_b):
+    """A and B ship their first-layer partial sums; C receives both."""
     hub.send("A", "C", MessageKind.PartialSum,
-             pack_matrix(party_forward(model.local_a, x_a)), batch_tag=tag)
+             pack_matrix(party_forward(model.local_a, x_a)))
     hub.send("B", "C", MessageKind.PartialSum,
-             pack_matrix(party_forward(model.local_b, x_b)), batch_tag=tag)
+             pack_matrix(party_forward(model.local_b, x_b)))
     z_a = unpack_matrix(hub.recv("C", "A", MessageKind.PartialSum).payload)
     z_b = unpack_matrix(hub.recv("C", "B", MessageKind.PartialSum).payload)
-    if not train:
-        z = z_a + z_b
-        hidden = apply_activation(model.split_activation, z)
-        probs, _ = mlp_forward(model.central, hidden)
-        return model, probs
-    labels = np.array([labels_c[repr(i)] for i in ids], dtype=np.int64)
-    step = central_forward_backward(model, CentralBatch(z_a, z_b, labels))
-    new_central = sgd_step(model.central, step.central_grads, lr)
-    hub.send("C", "A", MessageKind.DeltaError, pack_matrix(step.delta_a),
-             batch_tag=tag)
-    hub.send("C", "B", MessageKind.DeltaError, pack_matrix(step.delta_b),
-             batch_tag=tag)
-    delta_a = unpack_matrix(hub.recv("A", "C",
-                                     MessageKind.DeltaError).payload)
-    delta_b = unpack_matrix(hub.recv("B", "C",
-                                     MessageKind.DeltaError).payload)
-    model = SplitCentralModel(
-        party_backward(model.local_a, delta_a, x_a, lr),
-        party_backward(model.local_b, delta_b, x_b, lr),
-        new_central, model.split_activation)
-    return model, None
+    return z_a, z_b
 
 
-def _central_train(hub, model, ids, src_a, store_b, labels_c, config,
-                   rng) -> SplitCentralModel:
-    ids = list(ids)
-    for _ in range(config.central_epochs):
-        order = rng.permutation(len(ids))
-        for start in range(0, len(ids), config.batch_size):
-            batch = [ids[i] for i in order[start:start + config.batch_size]]
-            model, _ = _central_pass(hub, model, batch, src_a, store_b,
-                                     labels_c, config.lr, train=True)
+def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
+                lr: float, epochs: int, batch_size: int,
+                rng: np.random.Generator) -> SplitCentralModel:
+    """Minibatch SGD over seeded shuffles, every step routed through the hub.
+
+    A holds ``x_a``, B holds ``x_b`` and C holds ``labels``.  Per batch,
+    C combines the partial sums, steps its own layers and returns the
+    hidden-layer delta, from which each party steps its local layer.
+    """
+    x_a = as_batch(x_a)
+    x_b = as_batch(x_b)
+    labels = np.asarray(labels)
+    for _ in range(epochs):
+        order = rng.permutation(x_a.shape[0])
+        for start in range(0, len(order), batch_size):
+            idx = order[start:start + batch_size]
+            xa, xb = x_a[idx], x_b[idx]
+            z_a, z_b = _partial_sums(hub, model, xa, xb)
+            step = central_forward_backward(
+                model, CentralBatch(z_a, z_b, labels[idx]))
+            new_central = sgd_step(model.central, step.central_grads, lr)
+            hub.send("C", "A", MessageKind.DeltaError,
+                     pack_matrix(step.delta_a))
+            hub.send("C", "B", MessageKind.DeltaError,
+                     pack_matrix(step.delta_b))
+            delta_a = unpack_matrix(hub.recv("A", "C",
+                                             MessageKind.DeltaError).payload)
+            delta_b = unpack_matrix(hub.recv("B", "C",
+                                             MessageKind.DeltaError).payload)
+            model = SplitCentralModel(
+                party_backward(model.local_a, delta_a, xa, lr),
+                party_backward(model.local_b, delta_b, xb, lr),
+                new_central, model.split_activation)
     return model
 
 
-def _central_predict(hub, model, ids, src_a, store_b) -> np.ndarray:
-    _, probs = _central_pass(hub, model, list(ids), src_a, store_b, {},
-                             0.0, train=False)
+def split_predict(hub: Hub, model: SplitCentralModel, x_a,
+                  x_b) -> np.ndarray:
+    """C's argmax labels for rows whose features A and B hold."""
+    z_a, z_b = _partial_sums(hub, model, x_a, x_b)
+    hidden = apply_activation(model.split_activation, z_a + z_b)
+    probs, _ = mlp_forward(model.central, hidden)
     return probs.argmax(axis=1)
-
-
-def _central_accuracy(hub, model, ids, src_a, store_b, labels_c) -> float:
-    preds = _central_predict(hub, model, ids, src_a, store_b)
-    truth = np.array([labels_c[repr(i)] for i in ids], dtype=np.int64)
-    return float((preds == truth).mean())
 
 
 def mpdl_train(data: PreparedExperiment, config: MpdlConfig,
@@ -326,10 +322,25 @@ def mpdl_train(data: PreparedExperiment, config: MpdlConfig,
     converged = False
     round_tag = 0
 
+    def split_rows(ids):
+        """A's and B's features for ``ids``, and C's labels."""
+        return (src_a.rows(ids), store_b.rows(ids),
+                np.array([labels_c[repr(i)] for i in ids], dtype=np.int64))
+
+    def train(base, ids):
+        return split_train(hub, base, *split_rows(ids), config.lr,
+                           config.central_epochs, config.batch_size,
+                           central_rng)
+
+    def accuracy(model, ids):
+        x_a, x_b, truth = split_rows(ids)
+        return float((split_predict(hub, model, x_a, x_b) == truth).mean())
+
     for iteration in range(config.max_iters):
         fold_idx = int(fold_order[iteration])
         d_v = list(folds[fold_idx])
-        d_t = [i for i in common if i not in set(d_v)]
+        held_out = set(d_v)
+        d_t = [i for i in common if i not in held_out]
 
         # dual generators keep training across iterations
         for _ in range(config.dual_epochs):
@@ -364,15 +375,11 @@ def mpdl_train(data: PreparedExperiment, config: MpdlConfig,
         # fresh central models each iteration, identical initial weights
         base = init_split_central(d_a, d_b, data.n_classes, central_rng,
                                   hidden=hidden)
-        model_joint = _central_train(hub, base, d_t, src_a, store_b,
-                                     labels_c, config, central_rng)
-        model_dual = _central_train(hub, base, d_t + b_only, src_a, store_b,
-                                    labels_c, config, central_rng)
+        model_joint = train(base, d_t)
+        model_dual = train(base, d_t + b_only)
 
-        v_joint = _central_accuracy(hub, model_joint, d_v, src_a, store_b,
-                                    labels_c)
-        v_dual = _central_accuracy(hub, model_dual, d_v, src_a, store_b,
-                                   labels_c)
+        v_joint = accuracy(model_joint, d_v)
+        v_dual = accuracy(model_dual, d_v)
         records.append(IterationRecord(fold_idx, v_joint, v_dual))
         if v_dual - v_joint > config.threshold:
             converged = True
@@ -380,10 +387,8 @@ def mpdl_train(data: PreparedExperiment, config: MpdlConfig,
 
     # final metrics on the held-back test block
     test = list(split.test)
-    acc_joint = _central_accuracy(hub, model_joint, test, src_a, store_b,
-                                  labels_c)
-    acc_dual = _central_accuracy(hub, model_dual, test, src_a, store_b,
-                                 labels_c)
+    acc_joint = accuracy(model_joint, test)
+    acc_dual = accuracy(model_dual, test)
 
     result = MpdlResult(
         RunReport(config.gamma, config.epsilon, config.sensitivity_mode,
@@ -412,7 +417,6 @@ def predict_unlabeled(result: MpdlResult, x_a, ids=None,
     Unknown or absent ids always take the inferred path.
     """
     hub = hub or result.hub
-    model = result.model_dual
     x_a = np.atleast_2d(np.asarray(x_a, dtype=np.float64))
     if ids is None:
         ids = [object()] * x_a.shape[0]  # fresh handles: never aligned
@@ -428,7 +432,7 @@ def predict_unlabeled(result: MpdlResult, x_a, ids=None,
     hub.send("B", "A", MessageKind.BlindedIds, pack_tokens([key]))
     key = unpack_tokens(hub.recv("A", "B",
                                  MessageKind.BlindedIds).payload)[0]
-    tokens = [_hmac(key, _id_bytes(i), 32) for i in ids]
+    tokens = [id_token(key, i, 32) for i in ids]
     xhat_b = dual_infer(result.state_a.model, x_a)
     hub.send("A", "B", MessageKind.BlindedIds, pack_tokens(tokens))
     hub.send("A", "B", MessageKind.InferredBatch, pack_matrix(xhat_b))
@@ -438,20 +442,12 @@ def predict_unlabeled(result: MpdlResult, x_a, ids=None,
                                       MessageKind.InferredBatch).payload)
 
     # B resolves alignment hits against its own token table
-    table = {_hmac(key, _id_bytes(i), 32): i for i in result.state_b.store.ids}
+    table = {id_token(key, i, 32): i for i in result.state_b.store.ids}
     x_b = np.array([result.state_b.store.rows([table[t]])[0]
                     if t in table else got_xhat[j]
                     for j, t in enumerate(got_tokens)])
 
-    hub.send("A", "C", MessageKind.PartialSum,
-             pack_matrix(party_forward(model.local_a, x_a)))
-    hub.send("B", "C", MessageKind.PartialSum,
-             pack_matrix(party_forward(model.local_b, x_b)))
-    z_a = unpack_matrix(hub.recv("C", "A", MessageKind.PartialSum).payload)
-    z_b = unpack_matrix(hub.recv("C", "B", MessageKind.PartialSum).payload)
-    hidden = apply_activation(model.split_activation, z_a + z_b)
-    probs, _ = mlp_forward(model.central, hidden)
-    preds = probs.argmax(axis=1)
+    preds = split_predict(hub, result.model_dual, x_a, x_b)
     hub.send("C", "A", MessageKind.Control,
              pack_json({"labels": [int(p) for p in preds]}))
     back = unpack_json(hub.recv("A", "C", MessageKind.Control).payload)

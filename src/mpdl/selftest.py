@@ -192,16 +192,28 @@ def encrypted_dual_round_matches_plaintext():
 
 @_check
 def split_training_equals_monolithic():
-    from .central import central_step, init_split_central, one_hot, \
-        to_monolithic
+    from .central import CentralBatch, central_forward_backward, \
+        init_split_central, one_hot, party_forward, to_monolithic
     from .nn import backprop_from_output_grad, loss_eval, mlp_forward, \
         sgd_step
+    from .orchestrator import split_train
+    from .transport import Hub
     rng = np.random.default_rng(21)
     model = init_split_central(3, 2, n_classes=2, rng=rng)
     xa = rng.uniform(size=(10, 3))
     xb = rng.uniform(size=(10, 2))
     labels = rng.integers(0, 2, size=10)
-    stepped, loss = central_step(model, xa, xb, labels, lr=0.1)
+    # one batch of all ten rows: a single hub-routed step over the rows
+    # in the order of the seeded shuffle
+    hub = Hub()
+    stepped = split_train(hub, model, xa, xb, labels, lr=0.1, epochs=1,
+                          batch_size=10, rng=np.random.default_rng(0))
+    hub.close()
+    order = np.random.default_rng(0).permutation(10)
+    xa, xb, labels = xa[order], xb[order], labels[order]
+    loss = central_forward_backward(model, CentralBatch(
+        party_forward(model.local_a, xa), party_forward(model.local_b, xb),
+        labels)).loss
 
     mono = to_monolithic(model)
     x = np.hstack([xa, xb])

@@ -29,6 +29,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .paillier import cipher_from_bytes, cipher_to_bytes
+
 ACTORS = ("A", "B", "C")
 DEFAULT_TIMEOUT = 30.0
 
@@ -130,7 +132,7 @@ def pack_ciphers(key_id: str, scale: int, rows: int, cols: int,
         raise ProtocolError("key id must be 16 ascii chars")
     parts = [kid, struct.pack("<HII", scale.bit_length() - 1, rows, cols)]
     for c in ciphertexts:
-        raw = int(c).to_bytes((int(c).bit_length() + 7) // 8 or 1, "big")
+        raw = cipher_to_bytes(int(c))
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
     return b"".join(parts)
@@ -150,7 +152,7 @@ def unpack_ciphers(payload: bytes) -> tuple[str, int, int, int, tuple[int, ...]]
         offset += 4
         if offset + length > len(payload):
             raise ProtocolError("cipher payload truncated")
-        cts.append(int.from_bytes(payload[offset:offset + length], "big"))
+        cts.append(cipher_from_bytes(payload[offset:offset + length]))
         offset += length
     if offset != len(payload):
         raise ProtocolError("trailing bytes in cipher payload")

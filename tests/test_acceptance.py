@@ -17,7 +17,7 @@ import scipy.stats
 
 from mpdl.central import (CentralBatch, central_forward_backward,
                           init_split_central, one_hot, party_forward,
-                          to_monolithic, train_split)
+                          to_monolithic)
 from mpdl.data import (PartyDataset, SplitSpec, blinded_intersection,
                        partition_features, split_by_gamma)
 from mpdl.density import fit_kde, grad_log_density_batch, log_density_batch
@@ -25,7 +25,8 @@ from mpdl.dual import DualPartyState, dual_output_grad, run_dual_round
 from mpdl.graph import confusion_protocol, link_auc
 from mpdl.nn import (backprop_from_output_grad, init_mlp, loss_eval,
                      mlp_forward, sgd_step)
-from mpdl.orchestrator import MpdlConfig, mpdl_train, prepare_experiment
+from mpdl.orchestrator import (MpdlConfig, mpdl_train, prepare_experiment,
+                               split_train)
 from mpdl.paillier import (add_cipher, decrypt_vector, encrypt_vector,
                            keygen, mul_plain)
 from mpdl.privacy import DpConfig, perturb_dataset
@@ -69,9 +70,11 @@ def test_criterion_01_split_training_losslessness(cancer):
         xa_hat = perturb_dataset(x_a, dp, np.random.default_rng(21)).features
         xb_hat = perturb_dataset(x_b, dp, np.random.default_rng(22)).features
 
-        trained = train_split(model0, xa_hat, xb_hat, labels, lr=0.1,
+        hub = Hub()
+        trained = split_train(hub, model0, xa_hat, xb_hat, labels, lr=0.1,
                               epochs=20, batch_size=32,
                               rng=np.random.default_rng(99))
+        hub.close()
 
         # reference: plain single-site SGD over the concatenated features,
         # driven by an identical shuffle stream

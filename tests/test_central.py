@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from mpdl.central import (CentralBatch, SplitCentralModel,
-                          central_forward_backward, central_step, evaluate,
-                          init_split_central, one_hot, party_backward,
-                          party_forward, predict, to_monolithic, train_split)
+                          central_forward_backward, init_split_central,
+                          one_hot, party_backward, party_forward,
+                          to_monolithic)
 from mpdl.nn import (DenseLayer, Mlp, backprop_from_output_grad, init_mlp,
                      loss_eval, mlp_forward, sgd_step)
+from mpdl.orchestrator import split_predict, split_train
+from mpdl.transport import Hub
+
+
+@pytest.fixture
+def hub():
+    h = Hub()
+    yield h
+    h.close()
 
 
 def make_model(d_a=3, d_b=4, n_classes=2, seed=0, hidden=None):
@@ -145,13 +154,22 @@ def test_to_monolithic_same_function():
     assert np.allclose(split_probs, mono_probs, atol=1e-15)
 
 
-def test_single_step_matches_monolithic():
+def test_single_step_matches_monolithic(hub):
     model = make_model(seed=5)
     x_a, x_b, labels = make_batch(model, n=20, seed=6)
     mono = to_monolithic(model)
-    stepped, split_loss = central_step(model, x_a, x_b, labels, lr=0.3)
-    mono_stepped, mono_loss = monolithic_step(mono, np.hstack([x_a, x_b]),
-                                              labels, model.n_classes, 0.3)
+    # one epoch of one batch is a single hub-routed step over the rows in
+    # the order of the seeded shuffle
+    stepped = split_train(hub, model, x_a, x_b, labels, lr=0.3, epochs=1,
+                          batch_size=20, rng=np.random.default_rng(0))
+    order = np.random.default_rng(0).permutation(20)
+    split_loss = central_forward_backward(
+        model, CentralBatch(party_forward(model.local_a, x_a[order]),
+                            party_forward(model.local_b, x_b[order]),
+                            labels[order])).loss
+    mono_stepped, mono_loss = monolithic_step(
+        mono, np.hstack([x_a, x_b])[order], labels[order], model.n_classes,
+        0.3)
     assert split_loss == pytest.approx(mono_loss, rel=1e-14)
     recombined = to_monolithic(stepped)
     for got, want in zip(recombined.layers, mono_stepped.layers):
@@ -159,7 +177,7 @@ def test_single_step_matches_monolithic():
         assert np.max(np.abs(got.bias - want.bias)) < 1e-12
 
 
-def test_training_trajectory_matches_monolithic():
+def test_training_trajectory_matches_monolithic(hub):
     """20 epochs of identical minibatch schedules keep the fused weights
     within 1e-10 of the single-site run."""
     model = make_model(d_a=4, d_b=3, seed=7)
@@ -171,7 +189,7 @@ def test_training_trajectory_matches_monolithic():
     x_full = np.hstack([x_a, x_b])
     shuffle_a = np.random.default_rng(99)
     shuffle_b = np.random.default_rng(99)
-    model = train_split(model, x_a, x_b, labels, lr=0.2, epochs=20,
+    model = split_train(hub, model, x_a, x_b, labels, lr=0.2, epochs=20,
                         batch_size=16, rng=shuffle_a)
     n = 60
     for _ in range(20):
@@ -204,28 +222,32 @@ def test_block_independence():
 
 # -- evaluation -------------------------------------------------------------------
 
-def test_predict_and_evaluate():
+def accuracy(hub, model, x_a, x_b, labels) -> float:
+    return float((split_predict(hub, model, x_a, x_b) == labels).mean())
+
+
+def test_predict_and_evaluate(hub):
     model = make_model(seed=11)
     x_a, x_b, labels = make_batch(model, n=10)
-    preds = predict(model, x_a, x_b)
+    preds = split_predict(hub, model, x_a, x_b)
     assert preds.shape == (10,)
     assert set(np.unique(preds)) <= {0, 1}
-    acc = evaluate(model, x_a, x_b, preds)
+    acc = accuracy(hub, model, x_a, x_b, preds)
     assert acc == 1.0  # evaluating against its own predictions
-    acc = evaluate(model, x_a, x_b, 1 - preds)
+    acc = accuracy(hub, model, x_a, x_b, 1 - preds)
     assert acc == 0.0
 
 
-def test_training_improves_separable_data():
+def test_training_improves_separable_data(hub):
     rng = np.random.default_rng(13)
     n = 80
     labels = rng.integers(0, 2, size=n)
     x_a = rng.uniform(size=(n, 3)) * 0.2 + labels[:, None] * 0.6
     x_b = rng.uniform(size=(n, 2)) * 0.2 + (1 - labels[:, None]) * 0.6
     model = make_model(d_a=3, d_b=2, seed=14)
-    before = evaluate(model, x_a, x_b, labels)
-    model = train_split(model, x_a, x_b, labels, lr=0.5, epochs=30,
+    before = accuracy(hub, model, x_a, x_b, labels)
+    model = split_train(hub, model, x_a, x_b, labels, lr=0.5, epochs=30,
                         batch_size=16, rng=np.random.default_rng(15))
-    after = evaluate(model, x_a, x_b, labels)
+    after = accuracy(hub, model, x_a, x_b, labels)
     assert after >= before
     assert after >= 0.95

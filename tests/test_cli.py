@@ -89,6 +89,9 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg.write_text("gamma 0.5\n")
     with pytest.raises(ValueError):
         read_config_file(str(cfg))
+    cfg.write_text("unsafe_audit = 1\n")
+    with pytest.raises(ValueError):
+        read_config_file(str(cfg))
 
 
 def test_precedence_defaults_env_file_flags(tmp_path, monkeypatch):
@@ -160,6 +163,17 @@ def test_mpdl_env_seed_applies(dataset_csv, tmp_path, monkeypatch):
     run_mpdl(dataset_csv, out_flag, "--seed", "3")
     assert out_env.read_bytes() == out_flag.read_bytes()
 
+
+
+def test_mpdl_closes_each_run_hub(dataset_csv, tmp_path, monkeypatch):
+    from mpdl.transport import Hub
+    closed = []
+    original = Hub.close
+    monkeypatch.setattr(Hub, "close",
+                        lambda self: (closed.append(self), original(self)))
+    assert run_mpdl(dataset_csv, tmp_path / "c.csv", "--repeats", "2") == 0
+    assert len(closed) == 2
+    assert closed[0] is not closed[1]
 
 def test_mpdl_single_gamma_override(dataset_csv, tmp_path):
     out = tmp_path / "g.csv"

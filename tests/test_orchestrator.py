@@ -1,14 +1,16 @@
 """Whole-lifecycle runs on synthetic tasks: folds, supplement, metrics."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mpdl.orchestrator import (MpdlConfig, inference_mae, mpdl_train,
-                               predict_unlabeled, prepare_experiment)
+                               predict_unlabeled, prepare_experiment,
+                               split_predict)
 from mpdl.synthetic import linear_task
-from mpdl.transport import MessageKind
+from mpdl.transport import Hub, MessageKind
 
 
 FAST = dict(epsilon=math.inf, dual_epochs=2, central_epochs=5,
@@ -154,6 +156,34 @@ def test_transcript_records_protocol_traffic(world):
     assert MessageKind.Control in kinds        # labels to C
 
 
+
+# sha256 over every frame of one seeded run, in send order: a refactor of
+# any protocol step must leave the bytes on the wire unchanged
+GOLDEN_FRAMES = {
+    "encrypted": "8412f1c543189a391e715d1219cecf24"
+                 "e5609d5da9e72ef11d641d731bfd89bc",
+    "plaintext": "b9cf629eff157f5c6647ffd70a02bcf7"
+                 "b3d301773658b158236904652ba66386",
+}
+
+
+@pytest.mark.parametrize("mode,backend", [("encrypted", "local"),
+                                          ("plaintext", "local"),
+                                          ("plaintext", "tcp")])
+def test_transcript_frames_match_golden_digest(mode, backend):
+    world = prepare_experiment(linear_task(80, 2, 2, seed=3), 0.3, seed=3)
+    cfg = MpdlConfig(gamma=0.3, epsilon=8.0, seed=3, key_bits=512,
+                     dual_epochs=1, central_epochs=2, max_iters=1,
+                     batch_size=16, use_encryption=mode == "encrypted")
+    hub = Hub(backend=backend)
+    try:
+        mpdl_train(world, cfg, hub)
+        frames = hub.transcript.frames()
+    finally:
+        hub.close()
+    assert len(frames) == 77
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == GOLDEN_FRAMES[mode]
+
 # -- unlabeled routing ---------------------------------------------------------------
 
 def test_predict_unlabeled_aligned_rows_use_true_features(world):
@@ -164,9 +194,8 @@ def test_predict_unlabeled_aligned_rows_use_true_features(world):
     x_a = result.state_a.store.rows(ids)
     got = predict_unlabeled(result, x_a, ids, result.hub)
 
-    from mpdl.central import predict
     x_b = result.state_b.store.rows(ids)
-    want = predict(result.model_dual, x_a, x_b)
+    want = split_predict(result.hub, result.model_dual, x_a, x_b)
     assert np.array_equal(got, want)
 
 
@@ -178,10 +207,9 @@ def test_predict_unlabeled_absent_ids_take_inferred_path(world):
                                 result.hub)
     assert np.array_equal(no_ids, unknown)
 
-    from mpdl.central import predict
     from mpdl.dual import dual_infer
-    want = predict(result.model_dual, x_a,
-                   dual_infer(result.state_a.model, x_a))
+    want = split_predict(result.hub, result.model_dual, x_a,
+                         dual_infer(result.state_a.model, x_a))
     assert np.array_equal(no_ids, want)
 
 
