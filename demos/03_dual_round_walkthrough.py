@@ -3,7 +3,7 @@
 Two parties hold different feature columns for the same entities.  Each
 trains a generator into the other's feature space; the duality penalty
 couples the two via log-density residuals that cross the wire only
-under the partner's public key.
+encrypted under their owner's key, so only the owner can open them.
 
 Run with ``python3 demos/03_dual_round_walkthrough.py``.
 """

@@ -17,6 +17,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +54,9 @@ class PartyDataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
-    @property
+    @cached_property
     def index(self) -> dict:
+        """id -> row, built on first use (the ids never change)."""
         return {i: row for row, i in enumerate(self.ids)}
 
     def rows(self, ids) -> np.ndarray:

@@ -139,8 +139,9 @@ class _PaillierCodec:
         self.rng = rng
         self.scale = scale
 
-    def seal(self, pk: PublicKey, resid: np.ndarray) -> bytes:
-        cv = paillier.encrypt_vector(pk, resid, self.rng, self.scale)
+    def seal(self, keys: KeyPair, resid: np.ndarray) -> bytes:
+        """Encrypt under the sealer's own key, by CRT via its secret half."""
+        cv = paillier.encrypt_vector(keys.secret, resid, self.rng, self.scale)
         return pack_ciphers(cv.key_id, cv.scale, len(resid), 1,
                             cv.ciphertexts)
 
@@ -167,7 +168,7 @@ class _ShadowCodec:
     kind = MessageKind.GradTerm
     encrypts = False
 
-    def seal(self, pk: PublicKey, resid: np.ndarray) -> bytes:
+    def seal(self, keys: KeyPair, resid: np.ndarray) -> bytes:
         return pack_matrix(resid[:, None])
 
     def cross(self, pk: PublicKey, sealed: bytes, mult: np.ndarray) -> bytes:
@@ -273,7 +274,7 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
                         pack_matrix(plain), round_tag, record)
         halves[dst].plain_in = unpack_matrix(msg.payload)
         msg = _exchange(hub, src, dst, codec.kind,
-                        codec.seal(halves[src].state.keys.public, own_resid),
+                        codec.seal(halves[src].state.keys, own_resid),
                         round_tag, record)
         halves[dst].partner_resid = msg.payload
         # a shadow-codec residual payload is already the plaintext

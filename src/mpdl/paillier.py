@@ -7,6 +7,11 @@ a two-band signed fixed-point encoding: positive mantissas stay below
 n/3, negative ones (stored as ``n - v``) stay above 2n/3, so the bands
 cannot collide and additive overflow lands in the detectable middle.
 
+The key holder never exponentiates modulo n^2: it decrypts modulo p^2
+and q^2 and recombines by CRT (Paillier 1999, section 7), and when it
+encrypts under its own key it computes ``r^n`` the same way from the
+same r, so its ciphertexts equal those of a public-key encryption.
+
 Supported homomorphic ops: ciphertext + ciphertext, and plaintext *
 ciphertext (which multiplies the encoding scales).  ``gmpy2`` is used
 for the big-integer exponentiations when available; the pure-Python
@@ -18,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -95,9 +100,40 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class SecretKey:
-    lam: int
-    mu: int
+    """The private exponent, the primes of n and their CRT constants.
+
+    ``lam`` and ``mu`` give the textbook decryption; the CRT constants
+    are derived once, at construction.  No secret shows in ``repr``.
+    """
+
+    lam: int = field(repr=False)
+    mu: int = field(repr=False)
     public: PublicKey
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    p2: int = field(init=False, repr=False, compare=False)
+    q2: int = field(init=False, repr=False, compare=False)
+    hp: int = field(init=False, repr=False, compare=False)
+    hq: int = field(init=False, repr=False, compare=False)
+    q_inv_p: int = field(init=False, repr=False, compare=False)
+    q2_inv_p2: int = field(init=False, repr=False, compare=False)
+    q_mod_p1: int = field(init=False, repr=False, compare=False)
+    p_mod_q1: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p, q, g = self.p, self.q, self.public.g
+        if p * q != self.public.n:
+            raise ValueError("p * q does not match the public modulus")
+        p2, q2 = p * p, q * q
+        # h_p = L_p(g^(p-1) mod p^2)^-1 mod p, L_p(u) = (u-1)/p
+        consts = dict(
+            p2=p2, q2=q2,
+            hp=_invert((_powmod(g % p2, p - 1, p2) - 1) // p, p),
+            hq=_invert((_powmod(g % q2, q - 1, q2) - 1) // q, q),
+            q_inv_p=_invert(q, p), q2_inv_p2=_invert(q2, p2),
+            q_mod_p1=q % (p - 1), p_mod_q1=p % (q - 1))
+        for name, value in consts.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -133,7 +169,8 @@ def keygen(bits: int, rng: random.Random) -> KeyPair:
         key_id = hashlib.sha256(n.to_bytes((n.bit_length() + 7) // 8,
                                            "big")).hexdigest()[:16]
         public = PublicKey(n=n, g=n + 1, key_id=key_id)
-        secret = SecretKey(lam=phi, mu=_invert(phi, n), public=public)
+        secret = SecretKey(lam=phi, mu=_invert(phi, n), public=public,
+                           p=p, q=q)
         return KeyPair(public=public, secret=secret, bits=bits)
 
 
@@ -169,8 +206,26 @@ def decode(fp: FixedPoint, n: int) -> float:
     raise ValueError("mantissa in the overflow band; cannot decode")
 
 
-def encrypt_mantissa(pk: PublicKey, mantissa: int, rng: random.Random) -> int:
-    """Raw encryption of an integer mantissa in [0, n)."""
+def _crt_pow_n(sk: SecretKey, r: int) -> int:
+    """r^n mod n^2 for r coprime to n, from its residues mod p^2 and q^2.
+
+    a = b (mod p) implies a^p = b^p (mod p^2), so r^n = (r^q)^p mod p^2
+    needs r^q only mod p, where Fermat cuts the exponent to q mod (p-1).
+    """
+    p, q, p2, q2 = sk.p, sk.q, sk.p2, sk.q2
+    xp = _powmod(_powmod(r % p, sk.q_mod_p1, p), p, p2)
+    xq = _powmod(_powmod(r % q, sk.p_mod_q1, q), q, q2)
+    return xq + (xp - xq) * sk.q2_inv_p2 % p2 * q2
+
+
+def encrypt_mantissa(key: PublicKey | SecretKey, mantissa: int,
+                     rng: random.Random) -> int:
+    """Raw encryption of an integer mantissa in [0, n).
+
+    The key holder may pass its ``SecretKey``: the same r is drawn and
+    the same ciphertext returned, with ``r^n`` computed by CRT.
+    """
+    pk = key.public if isinstance(key, SecretKey) else key
     if not 0 <= mantissa < pk.n:
         raise ValueError("mantissa outside [0, n)")
     n2 = pk.n_squared
@@ -178,24 +233,34 @@ def encrypt_mantissa(pk: PublicKey, mantissa: int, rng: random.Random) -> int:
         r = rng.randrange(1, pk.n)
         if math.gcd(r, pk.n) == 1:
             break
-    return (1 + mantissa * pk.n) % n2 * _powmod(r, pk.n, n2) % n2
+    rn = (_crt_pow_n(key, r) if isinstance(key, SecretKey)
+          else _powmod(r, pk.n, n2))
+    return (1 + mantissa * pk.n) % n2 * rn % n2
 
 
 def decrypt_mantissa(sk: SecretKey, ciphertext: int) -> int:
-    """Invert encryption: L(c^lambda mod n^2) * mu mod n, L(u) = (u-1)/n."""
-    n = sk.public.n
-    n2 = sk.public.n_squared
-    if not 0 < ciphertext < n2:
+    """CRT decryption: m = L_p(c^(p-1) mod p^2) * h_p mod p, likewise mod q,
+    recombined; equal to L(c^lambda mod n^2) * mu mod n, L(u) = (u-1)/n.
+    """
+    if not 0 < ciphertext < sk.public.n_squared:
         raise ValueError("ciphertext outside (0, n^2)")
-    u = _powmod(ciphertext, sk.lam, n2)
-    return (u - 1) // n * sk.mu % n
+    p, q, p2, q2 = sk.p, sk.q, sk.p2, sk.q2
+    mp = (_powmod(ciphertext % p2, p - 1, p2) - 1) // p * sk.hp % p
+    mq = (_powmod(ciphertext % q2, q - 1, q2) - 1) // q * sk.hq % q
+    return mq + (mp - mq) * sk.q_inv_p % p * q
 
 
-def _mul_mantissa(pk: PublicKey, ciphertext: int, k: int) -> int:
-    """c^k mod n^2; negative-band k goes through the inverse shortcut."""
+def _mul_mantissa(pk: PublicKey, ciphertext: int, k: int,
+                  inverse: int | None = None) -> int:
+    """c^k mod n^2; negative-band k goes through the inverse shortcut.
+
+    ``inverse`` is c^-1 mod n^2 when the caller already holds it.
+    """
     n2 = pk.n_squared
     if k > pk.n // 2:
-        return _powmod(_invert(ciphertext, n2), pk.n - k, n2)
+        if inverse is None:
+            inverse = _invert(ciphertext, n2)
+        return _powmod(inverse, pk.n - k, n2)
     return _powmod(ciphertext, k, n2)
 
 
@@ -211,10 +276,12 @@ class CipherVector:
         return len(self.ciphertexts)
 
 
-def encrypt_vector(pk: PublicKey, values, rng: random.Random,
+def encrypt_vector(key: PublicKey | SecretKey, values, rng: random.Random,
                    scale: int = DEFAULT_SCALE) -> CipherVector:
+    """Encrypt each value; a ``SecretKey`` gives the same ciphertexts faster."""
+    pk = key.public if isinstance(key, SecretKey) else key
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    cts = tuple(encrypt_mantissa(pk, encode(float(v), pk.n, scale).mantissa,
+    cts = tuple(encrypt_mantissa(key, encode(float(v), pk.n, scale).mantissa,
                                  rng)
                 for v in values)
     return CipherVector(cts, scale, pk.key_id)
@@ -279,8 +346,13 @@ def dual_scalar_product(pk: PublicKey, scalar_cipher: int, scalar_scale: int,
 
     Used for the cross gradient terms, where a per-sample encrypted
     log-density difference multiplies that sample's plaintext
-    log-density gradient.
+    log-density gradient.  The scalar is inverted at most once, however
+    many negative entries the row holds.
     """
-    base = CipherVector((int(scalar_cipher),) * len(plain_row), scalar_scale,
-                        pk.key_id)
-    return mul_plain(pk, base, np.asarray(plain_row, dtype=np.float64), scale)
+    c = int(scalar_cipher)
+    ks = [encode(float(v), pk.n, scale).mantissa
+          for v in np.atleast_1d(np.asarray(plain_row, dtype=np.float64))]
+    inverse = (_invert(c, pk.n_squared) if any(k > pk.n // 2 for k in ks)
+               else None)
+    cts = tuple(_mul_mantissa(pk, c, k, inverse) for k in ks)
+    return CipherVector(cts, scalar_scale * scale, pk.key_id)

@@ -54,13 +54,15 @@ def _rel_err(analytic: float, numeric: float) -> float:
 
 # -- 1: split training is lossless ---------------------------------------------
 
-def test_criterion_01_split_training_losslessness(cancer):
-    with criterion(1, "split vs monolithic training is lossless") as info:
+def _check_split_lossless(dataset: PartyDataset, title: str):
+    """Criterion 1's check: 20 epochs of split training through a hub
+    against single-site SGD on the concatenated features."""
+    with criterion(1, title) as info:
         start = time.monotonic()
-        fsplit = partition_features(cancer, seed=1)
+        fsplit = partition_features(dataset, seed=1)
         x_a = fsplit.party_a.features
         x_b = fsplit.party_b.features
-        labels = cancer.labels
+        labels = dataset.labels
         n = x_a.shape[0]
         assert (n, x_a.shape[1] + x_b.shape[1]) == (569, 30)
 
@@ -101,6 +103,17 @@ def test_criterion_01_split_training_losslessness(cancer):
         assert elapsed < 30.0
         info["detail"] = (f"max |dw| {drift:.2e} after 20 epochs on 569x30, "
                           f"{elapsed:.1f}s")
+
+
+def test_criterion_01_split_training_losslessness(cancer):
+    _check_split_lossless(cancer, "split vs monolithic training is lossless")
+
+
+def test_criterion_01_split_training_losslessness_synthetic():
+    """The same gate on a seeded 569x30 synthetic task, so it always runs."""
+    _check_split_lossless(linear_task(569, 15, 15, seed=5, noise=0.05),
+                          "split vs monolithic training is lossless "
+                          "(synthetic 569x30)")
 
 
 # -- 2: homomorphic add/mul land on the fixed-point grid -----------------------

@@ -121,6 +121,26 @@ def test_party_dataset_validation():
         PartyDataset(("x",), np.array([[1.0]])).labels_for(["x"])
 
 
+def test_party_dataset_index_built_once():
+    rng = np.random.default_rng(3)
+    ids = tuple(f"id{i}" for i in rng.permutation(50))
+    feats = rng.normal(size=(50, 3))
+    labels = rng.integers(0, 2, size=50)
+    ds = PartyDataset(ids, feats, labels)
+    index = ds.index
+    assert index == {i: row for row, i in enumerate(ids)}
+    picks = [ids[k] for k in (7, 0, 49, 7, 23)]
+    rows = [ids.index(i) for i in picks]
+    for _ in range(3):
+        assert np.array_equal(ds.rows(picks), feats[rows])
+        assert np.array_equal(ds.labels_for(picks), labels[rows])
+        assert ds.index is index
+    # a fresh dataset builds its own
+    other = PartyDataset(ids[:2], feats[:2])
+    assert other.index == {ids[0]: 0, ids[1]: 1}
+    assert ds.index is index
+
+
 # -- vertical feature partition -------------------------------------------------
 
 def test_partition_features_reassembles():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpdl import paillier
 from mpdl.paillier import (DEFAULT_SCALE, KEY_SIZES, CipherVector, FixedPoint,
                            add_cipher, cipher_from_bytes, cipher_to_bytes,
                            decode, decrypt_mantissa, decrypt_vector,
@@ -69,6 +70,69 @@ def test_keygen_reproducible():
     a = keygen(512, random.Random(77))
     b = keygen(512, random.Random(77))
     assert a.public.n == b.public.n
+    assert (a.secret.p, a.secret.q) == (b.secret.p, b.secret.q)
+
+
+@pytest.fixture(scope="module", params=[512, 1024])
+def crt_keys(request):
+    return keygen(request.param, random.Random(request.param + 1))
+
+
+def _textbook_decrypt(keys, c):
+    """The lambda/mu formula the CRT decryption must agree with."""
+    n, sk = keys.public.n, keys.secret
+    return (pow(c, sk.lam, n * n) - 1) // n * sk.mu % n
+
+
+def test_crt_key_carries_its_primes(crt_keys):
+    sk = crt_keys.secret
+    assert sk.p * sk.q == crt_keys.public.n
+    assert sk.p != sk.q
+    assert sk.lam == (sk.p - 1) * (sk.q - 1)
+
+
+def test_crt_decrypt_matches_textbook(crt_keys):
+    pk, sk = crt_keys.public, crt_keys.secret
+    n, n2 = pk.n, pk.n_squared
+    rng = random.Random(21)
+    # fresh ciphertexts from both sign bands and the band edges
+    mantissas = [0, 1, 2 ** 40, n // 3 - 1, n - 1, n - 2 ** 40,
+                 n - (n // 3 - 1)]
+    mantissas += [rng.randrange(n // 3) for _ in range(5)]
+    mantissas += [n - rng.randrange(1, n // 3) for _ in range(5)]
+    cts = [encrypt_mantissa(pk, m, rng) for m in mantissas]
+    for m, c in zip(mantissas, cts):
+        assert decrypt_mantissa(sk, c) == m == _textbook_decrypt(crt_keys, c)
+    # sums and plaintext products of ciphertexts
+    for a, b in zip(cts, cts[1:]):
+        total = a * b % n2
+        assert decrypt_mantissa(sk, total) == _textbook_decrypt(crt_keys,
+                                                                total)
+        k = rng.randrange(n)
+        prod = pow(a, k, n2)
+        assert decrypt_mantissa(sk, prod) == _textbook_decrypt(crt_keys,
+                                                               prod)
+
+
+def test_secret_key_encryption_equals_public(crt_keys):
+    pk, sk = crt_keys.public, crt_keys.secret
+    for seed in range(8):
+        m = random.Random(seed).randrange(pk.n)
+        assert encrypt_mantissa(sk, m, random.Random(seed)) == \
+            encrypt_mantissa(pk, m, random.Random(seed))
+    values = [0.0, 1.5, -2.25, 1e-6, -12345.678]
+    assert encrypt_vector(sk, values, random.Random(9)) == \
+        encrypt_vector(pk, values, random.Random(9))
+    with pytest.raises(ValueError):
+        encrypt_mantissa(sk, pk.n, random.Random(0))
+
+
+def test_secret_key_repr_hides_secrets(keys):
+    sk = keys.secret
+    text = repr(sk) + repr(keys)
+    for secret in (sk.lam, sk.mu, sk.p, sk.q):
+        assert str(secret) not in text
+    assert keys.public.key_id in text
 
 
 def test_encode_decode_examples(keys):
@@ -194,6 +258,30 @@ def test_dual_scalar_product(keys):
     out = dual_scalar_product(keys.public, c.ciphertexts[0], c.scale, row)
     got = decrypt_vector(keys.secret, out)
     assert np.allclose(got, np.array(row) * scalar, atol=5 * 2 ** -40)
+
+
+def test_dual_scalar_product_inverts_once_per_row(keys, monkeypatch):
+    rng = random.Random(14)
+    c = encrypt_vector(keys.public, [0.3], rng).ciphertexts[0]
+    row = [-0.5, 2.0, -4.0, -1e-3, 0.0]
+    # the same ciphertexts as an elementwise plaintext product
+    reference = mul_plain(keys.public, CipherVector((c,) * len(row),
+                                                    DEFAULT_SCALE,
+                                                    keys.public.key_id), row)
+    calls = []
+    invert = paillier._invert
+
+    def counting_invert(a, mod):
+        calls.append(a)
+        return invert(a, mod)
+
+    monkeypatch.setattr(paillier, "_invert", counting_invert)
+    out = dual_scalar_product(keys.public, c, DEFAULT_SCALE, row)
+    assert out == reference
+    assert calls == [c]
+    calls.clear()
+    dual_scalar_product(keys.public, c, DEFAULT_SCALE, [0.5, 2.0])
+    assert calls == []
 
 
 def test_cross_key_and_scale_guards(keys):
