@@ -279,7 +279,9 @@ def id_token(key: bytes, identifier, nbytes: int) -> bytes:
 
 
 def _xor(token: bytes, mask: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(token, mask))
+    # Tokens and masks are both ``digest_bytes`` long.
+    return (int.from_bytes(token, "big")
+            ^ int.from_bytes(mask, "big")).to_bytes(len(token), "big")
 
 
 def blinded_intersection(ids_a, ids_b, rng: np.random.Generator,
@@ -297,6 +299,8 @@ def blinded_intersection(ids_a, ids_b, rng: np.random.Generator,
     Returns the common ids sorted by repr.  Both parties learn exactly
     the intersection; the transcript never carries a raw id.
     """
+    if not 1 <= digest_bytes <= hashlib.sha256().digest_size:
+        raise ValueError("digest_bytes must be between 1 and 32")
     ids_a, ids_b = list(ids_a), list(ids_b)
     if len(set(ids_a)) != len(ids_a) or len(set(ids_b)) != len(ids_b):
         raise ValueError("party id lists must be unique")

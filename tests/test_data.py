@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpdl.data import (AlignmentCollisionError, GammaSplit, PartyDataset,
-                       SplitSpec, blinded_intersection, kfold_split, load_idx,
-                       load_normalize, min_max_normalize, partition_features,
-                       split_by_gamma)
+                       SplitSpec, _xor, blinded_intersection, kfold_split,
+                       load_idx, load_normalize, min_max_normalize,
+                       partition_features, split_by_gamma)
 from mpdl.transport import Hub
 
 
@@ -316,6 +316,21 @@ def test_blinded_intersection_rejects_duplicate_ids():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
         blinded_intersection(["a", "a"], ["b"], rng)
+
+
+@pytest.mark.parametrize("nbytes", [0, 33])
+def test_blinded_intersection_rejects_digest_sizes_sha256_cannot_fill(nbytes):
+    rng = np.random.default_rng(9)
+    with pytest.raises(ValueError):
+        blinded_intersection(["a"], ["a"], rng, digest_bytes=nbytes)
+
+
+def test_xor_matches_bytewise_xor():
+    rng = np.random.default_rng(10)
+    for nbytes in (1, 2, 16, 32):
+        token, mask = rng.bytes(nbytes), rng.bytes(nbytes)
+        assert _xor(token, mask) == bytes(a ^ b for a, b in zip(token, mask))
+    assert _xor(b"\x00\x01", b"\x00\x00") == b"\x00\x01"
 
 
 @settings(max_examples=40, deadline=None)

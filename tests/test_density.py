@@ -1,13 +1,16 @@
 """Kernel density estimates against naive-sum and quadrature oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from scipy.special import logsumexp, softmax
 
-from mpdl.density import (DIMENSION_WARN_LIMIT, bandwidth_rule, fit_kde,
-                          grad_log_density, grad_log_density_batch,
+from mpdl.density import (DIMENSION_WARN_LIMIT, _log_kernels, bandwidth_rule,
+                          fit_kde, grad_log_density, grad_log_density_batch,
                           log_density, log_density_batch)
 
 
@@ -140,3 +143,94 @@ def test_wide_feature_space_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit_kde(rng.uniform(size=(4, DIMENSION_WARN_LIMIT)))
+
+
+def scipy_reference(model, x):
+    """Log-density and gradient through ``scipy.special`` on one matrix."""
+    n, d = model.support.shape
+    h = model.bandwidth
+    norm = math.log(n) + d * math.log(h) + 0.5 * d * math.log(2.0 * math.pi)
+    k = -cdist(x, model.support, "sqeuclidean") / (2.0 * h ** 2)
+    logp = logsumexp(k, axis=1) - norm
+    grad = (softmax(k, axis=1) @ model.support - x) / h ** 2
+    return logp, grad
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_matches_scipy_reductions_bit_for_bit(width):
+    rng = np.random.default_rng(100 + width)
+    support = rng.uniform(size=(60, width))
+    # duplicated rows tie at the row max for points placed on them
+    support[10] = support[3]
+    support[41] = support[3]
+    model = fit_kde(support)
+    xs = np.vstack([rng.uniform(-0.5, 1.5, size=(25, width)),
+                    support[3:4],
+                    np.full((1, width), 40.0)])
+    want_logp, want_grad = scipy_reference(model, xs)
+    assert np.array_equal(log_density_batch(model, xs), want_logp)
+    assert np.array_equal(grad_log_density_batch(model, xs), want_grad)
+
+
+def test_matches_scipy_far_from_the_support():
+    # every kernel but the nearest underflows, so the rest-sum is 0
+    support = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+    model = fit_kde(support, bandwidth=0.1)
+    far = np.array([[30.0, 30.0], [-25.0, 4.0]])
+    k = -cdist(far, support, "sqeuclidean") / (2.0 * model.bandwidth ** 2)
+    rest = np.exp(k - k.max(axis=1, keepdims=True))
+    rest[k == k.max(axis=1, keepdims=True)] = 0.0
+    assert np.all(rest.sum(axis=1) == 0.0)
+    want_logp, want_grad = scipy_reference(model, far)
+    assert np.array_equal(log_density_batch(model, far), want_logp)
+    assert np.array_equal(grad_log_density_batch(model, far), want_grad)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_matches_scipy_with_one_support_row(width):
+    rng = np.random.default_rng(width)
+    model = fit_kde(rng.uniform(size=(1, width)))
+    xs = rng.uniform(-1.0, 2.0, size=(9, width))
+    want_logp, want_grad = scipy_reference(model, xs)
+    assert np.array_equal(log_density_batch(model, xs), want_logp)
+    assert np.array_equal(grad_log_density_batch(model, xs), want_grad)
+
+
+@pytest.mark.parametrize("width", [1, 3, 10])
+def test_row_value_does_not_depend_on_its_batch(width):
+    # The transcript leak predicates compare log-densities by exact
+    # float equality, so a row's kernels and log-density must give the
+    # same bits in any batch.  The gradient's final ``w @ support`` is a
+    # BLAS product whose kernel depends on the batch shape, so it is
+    # held to rounding only.
+    rng = np.random.default_rng(20 + width)
+    model = fit_kde(rng.uniform(size=(300, width)))
+    xs = rng.uniform(-0.2, 1.2, size=(100, width))
+    whole_kern = _log_kernels(model, xs)
+    whole_logp = log_density_batch(model, xs)
+    whole_grad = grad_log_density_batch(model, xs)
+    for size in (1, 32):
+        for start in range(0, 100, size):
+            rows = slice(start, start + size)
+            assert np.array_equal(_log_kernels(model, xs[rows]),
+                                  whole_kern[rows])
+            assert np.array_equal(log_density_batch(model, xs[rows]),
+                                  whole_logp[rows])
+            np.testing.assert_allclose(
+                grad_log_density_batch(model, xs[rows]), whole_grad[rows],
+                rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("fn", [log_density_batch, grad_log_density_batch])
+def test_peak_memory_is_one_kernel_matrix(fn):
+    batch, n_support, width = 500, 2_000, 20
+    rng = np.random.default_rng(4)
+    model = fit_kde(rng.uniform(size=(n_support, width)))
+    xs = rng.uniform(size=(batch, width))
+    tracemalloc.start()
+    try:
+        fn(model, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * batch * n_support * 8
