@@ -279,21 +279,23 @@ def cmd_graph(args: argparse.Namespace) -> int:
             proto_rng = Random(seed + 1)
             from .transport import Hub
             hub = Hub()
-            for _ in range(settings["dual_epochs"]):
-                order = rng.permutation(len(co))
-                for start in range(0, len(co), settings["batch_size"]):
-                    batch = [co[k] for k in
-                             order[start:start + settings["batch_size"]]]
-                    run_dual_round(state_a, state_b, batch, hub, proto_rng,
-                                   use_encryption=not
-                                   settings["no_encryption"])
+            try:
+                for _ in range(settings["dual_epochs"]):
+                    order = rng.permutation(len(co))
+                    for start in range(0, len(co), settings["batch_size"]):
+                        batch = [co[k] for k in
+                                 order[start:start + settings["batch_size"]]]
+                        run_dual_round(state_a, state_b, batch, hub,
+                                       proto_rng, use_encryption=not
+                                       settings["no_encryption"])
+            finally:
+                hub.close()
             from .dual import DualModelPair
             pair = DualModelPair(state_a.model, state_b.model)
             auc = link_prediction_auc(
                 pair, adj, fsplit.party_a.features, fsplit.party_b.features,
                 has_a, has_b, settings["holdout_fraction"], rng)
             aucs.append(auc)
-            hub.close()
         rows.append([gamma, float(np.mean(aucs)), float(np.std(aucs)),
                      settings["repeats"]])
     write_csv(args.out, settings, input_hash,

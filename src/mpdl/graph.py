@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dual import DualModelPair, dual_infer
 from .nn import as_batch
@@ -115,12 +114,31 @@ def complete_feature_matrix(pair: DualModelPair, feat_a, feat_b,
     return np.hstack([fa, fb])
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, each run of tied values given the mean of its ranks.
+
+    The "average" method of ``scipy.stats.rankdata``, including its NaN
+    handling: any NaN makes every rank NaN.
+    """
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # run k of equal values spans sorted positions bounds[k]..bounds[k+1]-1
+    bounds = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1], True])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0,
+                             np.diff(bounds))
+    return ranks
+
+
 def link_auc(scores, truth) -> float:
     """Probability a held-out edge outscores a non-edge, ties at half.
 
-    Rank-based Mann-Whitney statistic; ties contribute exactly 1/2
-    through average ranks, so the value matches pairwise counting
-    bit for bit.
+    Rank-based Mann-Whitney statistic over average ranks: ties
+    contribute exactly 1/2, and every rank is a half-integer, so the
+    value matches pairwise counting bit for bit.  A NaN score makes
+    the result NaN.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     t = np.asarray(truth).ravel()
@@ -132,7 +150,7 @@ def link_auc(scores, truth) -> float:
     neg = s[t == 0]
     if pos.size == 0 or neg.size == 0:
         raise ValueError("need both classes in truth")
-    ranks = rankdata(np.concatenate([pos, neg]))
+    ranks = _average_ranks(np.concatenate([pos, neg]))
     u = ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
 

@@ -31,7 +31,7 @@ def as_batch(x, width: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 2-D batch, got shape {a.shape}")
     if width is not None and a.shape[1] != width:
         raise ValueError(f"expected batch width {width}, got {a.shape[1]}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("batch contains non-finite entries")
     return a
 
@@ -89,7 +89,7 @@ class DenseLayer:
                              f"{w.shape[0]}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError("layer parameters contain non-finite entries")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
@@ -256,7 +256,7 @@ def sgd_step(model: Mlp, grads: Sequence[LayerGrad], lr: float) -> Mlp:
         gb = np.asarray(grad.bias, dtype=np.float64)
         if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
             raise ValueError("gradient shape does not match layer")
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
             raise ValueError("non-finite gradient entries")
         new_layers.append(DenseLayer(layer.weights - lr * gw,
                                      layer.bias - lr * gb,
@@ -283,8 +283,9 @@ def loss_eval(kind: str, prediction, target) -> tuple[float, np.ndarray]:
         value = float((diff * diff).sum() / n)
         return value, 2.0 * diff / n
     if kind == "cross_entropy":
-        if not np.all((t == 0.0) | (t == 1.0)) or not np.allclose(
-                t.sum(axis=1), 1.0):
+        # entries are exactly 0 or 1, so the row sums are exact integers
+        if not ((t == 0.0) | (t == 1.0)).all() or not (
+                t.sum(axis=1) == 1.0).all():
             raise ValueError("cross_entropy targets must be one-hot rows")
         picked = np.clip((p * t).sum(axis=1), 1e-300, None)
         value = float(-np.log(picked).mean())

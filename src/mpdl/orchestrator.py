@@ -257,12 +257,26 @@ def split_predict(hub: Hub, model: SplitCentralModel, x_a,
 
 def mpdl_train(data: PreparedExperiment, config: MpdlConfig,
                hub: Hub | None = None) -> MpdlResult:
-    """Run the full multi-party lifecycle and return models plus report."""
+    """Run the full multi-party lifecycle and return models plus report.
+
+    Without a ``hub`` the run opens its own, which the result carries
+    open (``result.hub``) and which is closed if the run raises.
+    """
+    if hub is not None:
+        return _run_lifecycle(data, config, hub)
+    hub = Hub()
+    try:
+        return _run_lifecycle(data, config, hub)
+    except BaseException:
+        hub.close()
+        raise
+
+
+def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
+                   hub: Hub) -> MpdlResult:
     ss = np.random.SeedSequence(config.seed)
     (ss_keys, ss_noise_a, ss_noise_b, ss_align, ss_dual_init, ss_folds,
      ss_dual_order, ss_central, ss_protocol) = ss.spawn(9)
-    if hub is None:
-        hub = Hub()
 
     party_a, party_b = data.party_a, data.party_b
     split = data.split

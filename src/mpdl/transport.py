@@ -107,17 +107,17 @@ def pack_matrix(arr) -> bytes:
     if a.ndim != 2:
         raise ProtocolError("matrix payloads must be 2-D")
     return struct.pack("<II", a.shape[0], a.shape[1]) + a.astype(
-        "<f8").tobytes()
+        "<f8", copy=False).tobytes()
 
 
 def unpack_matrix(payload: bytes) -> np.ndarray:
     if len(payload) < 8:
         raise ProtocolError("matrix payload too short")
     rows, cols = struct.unpack_from("<II", payload, 0)
-    body = payload[8:]
-    if len(body) != rows * cols * 8:
+    if len(payload) - 8 != rows * cols * 8:
         raise ProtocolError("matrix payload size mismatch")
-    return np.frombuffer(body, dtype="<f8").reshape(rows, cols).copy()
+    return np.frombuffer(payload, "<f8", rows * cols, offset=8).reshape(
+        rows, cols).copy()
 
 
 def pack_ciphers(key_id: str, scale: int, rows: int, cols: int,

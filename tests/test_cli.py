@@ -11,6 +11,7 @@ import pytest
 from mpdl.cli import (DEFAULTS, content_hash, main, make_parser, parse_float,
                       parse_list, read_config_file, resolve_settings)
 from mpdl.synthetic import linear_task
+from mpdl.transport import ProtocolError
 
 
 FAST_ARGS = ["--repeats", "1", "--dual-epochs", "1", "--central-epochs", "2",
@@ -174,6 +175,36 @@ def test_mpdl_closes_each_run_hub(dataset_csv, tmp_path, monkeypatch):
     assert run_mpdl(dataset_csv, tmp_path / "c.csv", "--repeats", "2") == 0
     assert len(closed) == 2
     assert closed[0] is not closed[1]
+
+
+def _failing_round(*args, **kwargs):
+    raise ProtocolError("injected failure")
+
+
+def _record_closes(monkeypatch):
+    from mpdl.transport import Hub
+    closed = []
+    original = Hub.close
+    monkeypatch.setattr(Hub, "close",
+                        lambda self: (closed.append(self), original(self)))
+    return closed
+
+
+def test_mpdl_closes_run_hub_on_failure(dataset_csv, tmp_path, monkeypatch):
+    closed = _record_closes(monkeypatch)
+    monkeypatch.setattr("mpdl.orchestrator.run_dual_round", _failing_round)
+    assert run_mpdl(dataset_csv, tmp_path / "c.csv") == 3
+    assert len(closed) == 1
+
+
+def test_graph_closes_hub_on_failure(tmp_path, monkeypatch):
+    closed = _record_closes(monkeypatch)
+    monkeypatch.setattr("mpdl.dual.run_dual_round", _failing_round)
+    assert main(["graph", "--out", str(tmp_path / "g.csv"),
+                 "--synthetic-nodes", "50", "--gammas", "0.4", "--repeats",
+                 "1", "--dual-epochs", "1", "--no-encryption"]) == 3
+    assert len(closed) == 1
+
 
 def test_mpdl_single_gamma_override(dataset_csv, tmp_path):
     out = tmp_path / "g.csv"

@@ -1,12 +1,18 @@
 """Masked matrix products, representation building, link AUC."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata
 
 from mpdl.dual import DualModelPair
-from mpdl.graph import (complete_feature_matrix, confusion_protocol,
-                        cosine_scores, holdout_edges, link_auc,
-                        link_prediction_auc, make_confusion,
+from mpdl.graph import (_average_ranks, complete_feature_matrix,
+                        confusion_protocol, cosine_scores, holdout_edges,
+                        link_auc, link_prediction_auc, make_confusion,
                         node_representations)
 from mpdl.nn import DenseLayer, Mlp, init_mlp, mlp_forward
 from mpdl.synthetic import linked_graph
@@ -221,6 +227,28 @@ def test_link_auc_validation():
         link_auc([1.0, 2.0], [1, 2])
     with pytest.raises(ValueError):
         link_auc([1.0, 2.0], [1, 1])
+
+
+def test_link_auc_nan_score_gives_nan():
+    assert math.isnan(link_auc([0.9, np.nan, 0.2, 0.1], [1, 1, 0, 0]))
+
+
+# a small pool keeps ties common; the infinities sort at either end
+POOL = [-np.inf, -1.5, -0.0, 0.0, 0.25, 1.0, 3.0, np.inf]
+
+
+@given(arrays(np.float64, st.integers(1, 40),
+              elements=st.sampled_from(POOL)),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_match_scipy_rankdata(values, with_nan):
+    if with_nan:
+        values = values.copy()
+        values[len(values) // 2] = np.nan
+    got = _average_ranks(values)
+    want = rankdata(values)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_cosine_scores():

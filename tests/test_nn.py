@@ -206,6 +206,17 @@ def test_sgd_rejects_non_finite_gradients():
         sgd_step(model, bad, 0.1)
 
 
+@pytest.mark.parametrize("where", ["weights", "bias"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sgd_rejects_each_non_finite_gradient_entry(where, bad):
+    from mpdl.nn import LayerGrad
+    model = small_net([3, 2], ["identity"])
+    gw, gb = np.zeros((2, 3)), np.zeros(2)
+    (gw if where == "weights" else gb)[-1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sgd_step(model, [LayerGrad(gw, gb)], 0.1)
+
+
 def test_clip_global_norm_noop_and_rescale():
     from mpdl.nn import LayerGrad
     g = [LayerGrad(np.array([[3.0, 0.0]]), np.array([4.0]))]  # norm 5
@@ -262,6 +273,20 @@ def test_cross_entropy_rejects_non_one_hot():
         loss_eval("cross_entropy", p, np.array([[0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("target", [
+    [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # a row summing to 0
+    [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]],  # a row summing to 2
+    [[1.0, 1.0, 1.0], [0.0, 1.0, 0.0]],  # a row summing to 3
+    [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]],  # a soft row summing to 1
+    [[np.nan, 1.0, 0.0], [0.0, 1.0, 0.0]],
+    [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]],
+])
+def test_cross_entropy_rejects_targets_that_are_not_one_hot(target):
+    p = np.full((2, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError):
+        loss_eval("cross_entropy", p, np.array(target))
+
+
 def test_cross_entropy_grad_is_p_minus_y_over_batch():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(5, 3))
@@ -315,3 +340,20 @@ def test_activation_prime_matches_finite_differences(rows, cols, act):
 def test_as_batch_rejects_non_finite():
     with pytest.raises(ValueError):
         as_batch(np.array([[np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_batch_rejects_each_non_finite_value(bad):
+    x = np.zeros((3, 4))
+    x[2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        as_batch(x)
+
+
+@pytest.mark.parametrize("where", ["weights", "bias"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_layer_rejects_non_finite_parameters(where, bad):
+    w, b = np.zeros((2, 3)), np.zeros(2)
+    (w if where == "weights" else b)[0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DenseLayer(w, b, "identity")

@@ -31,6 +31,26 @@ def run(world, close=True, **overrides):
     return result
 
 
+def _failing_round(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+def test_failed_run_closes_its_own_hub(world, monkeypatch):
+    closed = []
+    original = Hub.close
+    monkeypatch.setattr(Hub, "close",
+                        lambda self: (closed.append(self), original(self)))
+    monkeypatch.setattr("mpdl.orchestrator.run_dual_round", _failing_round)
+    with pytest.raises(RuntimeError, match="injected"):
+        mpdl_train(world, MpdlConfig(gamma=0.3, **FAST))
+    assert len(closed) == 1
+    hub = Hub()
+    with pytest.raises(RuntimeError, match="injected"):
+        mpdl_train(world, MpdlConfig(gamma=0.3, **FAST), hub)
+    assert len(closed) == 1  # a caller's hub stays the caller's to close
+    hub.close()
+
+
 # -- config and preparation -------------------------------------------------------
 
 def test_config_validation():

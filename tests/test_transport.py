@@ -1,6 +1,7 @@
 """Message framing, channel semantics, transcripts and boundary predicates."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ def test_matrix_payload_round_trip():
         unpack_matrix(b"\x00" * 7)
     with pytest.raises(ProtocolError):
         unpack_matrix(pack_matrix(np.ones((2, 2)))[:-3])
+
+
+def test_matrix_payload_layout():
+    # header u32 rows, u32 cols, then row-major little-endian float64,
+    # whatever the input's byte order or memory layout
+    m = np.arange(6.0).reshape(2, 3)
+    want = (b"\x02\x00\x00\x00\x03\x00\x00\x00" +
+            b"".join(struct.pack("<d", v) for v in m.ravel()))
+    assert pack_matrix(m) == want
+    assert pack_matrix(m.astype(">f8")) == want
+    assert pack_matrix(np.asfortranarray(m)) == want
+    assert pack_matrix(np.arange(6).reshape(2, 3)) == want
+    got = unpack_matrix(want)
+    assert got.dtype == np.float64 and got.flags.writeable
+    assert np.array_equal(got, m)
+    with pytest.raises(ProtocolError):
+        unpack_matrix(want + b"\x00" * 8)
 
 
 def test_cipher_payload_round_trip():
