@@ -4,9 +4,9 @@ Every cross-party byte in the package rides on a ProtocolMessage.  The
 wire format is a length-framed little-endian envelope; payload layouts
 are fixed per message kind.  A hub owns one FIFO channel per directed
 actor pair, assigns globally monotone message ids at send time, and
-records every frame into a transcript.  Transcripts are the audit
-surface: boundary checks are declarative predicates evaluated over
-them after a protocol run.
+keeps each frame once in a transcript; messages are decoded on access.
+Transcripts are the audit surface: boundary checks are declarative
+predicates evaluated over them after a protocol run.
 
 Two interchangeable backends exist: in-process queues (default) and
 TCP sockets on localhost with one port per directed channel.  Both
@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from hashlib import sha256
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,43 +60,56 @@ class ProtocolMessage:
     batch_tag: int | None = None
 
 
+# u32 length, u64 msg_id, sender, receiver, kind, flags [, u32 batch tag]
+_HEAD = struct.Struct("<IQBBBB")
+_HEAD_TAGGED = struct.Struct("<IQBBBBI")
+_U32 = struct.Struct("<I")
+_MAX_TAG = 2 ** 32 - 1
+# a dict lookup costs a small fraction of the MessageKind(...) call
+_KINDS = {k.value: k for k in MessageKind}
+
+
 def encode_message(msg: ProtocolMessage) -> bytes:
     """Frame: u32 length, u64 msg_id, sender, receiver, kind, flags, payload."""
     if msg.sender not in ACTORS or msg.receiver not in ACTORS:
         raise ProtocolError(f"unknown actor in {msg.sender!r}->{msg.receiver!r}")
-    flags = 1 if msg.batch_tag is not None else 0
-    head = struct.pack("<QBBBB", msg.msg_id, ord(msg.sender),
-                       ord(msg.receiver), int(msg.kind), flags)
-    if flags:
-        head += struct.pack("<I", msg.batch_tag)
-    body = head + msg.payload
-    return struct.pack("<I", len(body)) + body
+    tag = msg.batch_tag
+    if tag is None:
+        head = _HEAD.pack(_HEAD.size - 4 + len(msg.payload), msg.msg_id,
+                          ord(msg.sender), ord(msg.receiver), int(msg.kind), 0)
+    elif 0 <= tag <= _MAX_TAG:
+        head = _HEAD_TAGGED.pack(_HEAD_TAGGED.size - 4 + len(msg.payload),
+                                 msg.msg_id, ord(msg.sender),
+                                 ord(msg.receiver), int(msg.kind), 1, tag)
+    else:
+        raise ProtocolError(f"batch tag {tag} outside 0..{_MAX_TAG}")
+    return head + msg.payload
 
 
 def decode_message(frame: bytes) -> ProtocolMessage:
-    if len(frame) < 4:
+    size = len(frame)
+    if size < 4:
         raise ProtocolError("frame too short")
-    (length,) = struct.unpack_from("<I", frame, 0)
-    if len(frame) != 4 + length or length < 12:
+    # a declared length of at least 12 means at least a whole fixed header
+    if size < _HEAD.size:
         raise ProtocolError("frame length mismatch")
-    msg_id, sender, receiver, kind, flags = struct.unpack_from("<QBBBB",
-                                                               frame, 4)
-    offset = 16
+    length, msg_id, sender, receiver, kind, flags = _HEAD.unpack_from(frame)
+    if size != 4 + length:
+        raise ProtocolError("frame length mismatch")
+    offset = _HEAD.size
     batch_tag = None
     if flags & 1:
         if length < 16:
             raise ProtocolError("frame too short for batch tag")
-        (batch_tag,) = struct.unpack_from("<I", frame, offset)
+        (batch_tag,) = _U32.unpack_from(frame, offset)
         offset += 4
-    try:
-        kind = MessageKind(kind)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown message kind {kind}") from exc
+    if kind not in _KINDS:
+        raise ProtocolError(f"unknown message kind {kind}")
     sender, receiver = chr(sender), chr(receiver)
     if sender not in ACTORS or receiver not in ACTORS:
         raise ProtocolError("unknown actor byte in frame")
-    return ProtocolMessage(msg_id, sender, receiver, kind, frame[offset:],
-                           batch_tag)
+    return ProtocolMessage(msg_id, sender, receiver, _KINDS[kind],
+                           frame[offset:], batch_tag)
 
 
 # -- payload layouts ---------------------------------------------------------
@@ -233,9 +246,13 @@ class _LocalChannel:
 
 
 class _TcpChannel:
-    """One directed channel over a localhost TCP connection."""
+    """One directed channel over a localhost TCP connection.
 
-    def __init__(self, host: str = "127.0.0.1"):
+    Both sockets carry a timeout, so neither a send into a full socket
+    buffer nor a read from a silent peer blocks for longer than that.
+    """
+
+    def __init__(self, timeout: float, host: str = "127.0.0.1"):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, 0))
@@ -248,18 +265,33 @@ class _TcpChannel:
         # before the peer drains them
         self._write.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 22)
         self._read.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
+        self._write.settimeout(timeout)
+        self._read.settimeout(timeout)
+        self._read_timeout = timeout
 
     def send(self, frame: bytes) -> None:
-        self._write.sendall(frame)
+        try:
+            self._write.sendall(frame)
+        except socket.timeout as exc:
+            # part of the frame may be on the wire: the stream is no
+            # longer framed, so nothing more may travel on it
+            self.close()
+            raise ProtocolError("send timed out") from exc
+        except OSError as exc:
+            raise ProtocolError("channel closed") from exc
 
     def recv(self, timeout: float) -> bytes:
-        self._read.settimeout(timeout)
         try:
+            if timeout != self._read_timeout:
+                self._read.settimeout(timeout)
+                self._read_timeout = timeout
             head = self._read_exact(4)
-            (length,) = struct.unpack("<I", head)
+            (length,) = _U32.unpack(head)
             return head + self._read_exact(length)
         except socket.timeout as exc:
             raise ProtocolError("recv timed out") from exc
+        except OSError as exc:
+            raise ProtocolError("channel closed") from exc
 
     def _read_exact(self, count: int) -> bytes:
         chunks = []
@@ -279,10 +311,18 @@ class _TcpChannel:
                 pass
 
 
-@dataclass
 class TranscriptEntry:
-    message: ProtocolMessage
-    frame: bytes
+    """One delivered message, kept only as its frame."""
+
+    __slots__ = ("frame",)
+
+    def __init__(self, frame: bytes):
+        self.frame = frame
+
+    @property
+    def message(self) -> ProtocolMessage:
+        """The message, decoded from the frame on every access."""
+        return decode_message(self.frame)
 
 
 class Transcript:
@@ -294,16 +334,19 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def __iter__(self) -> Iterator[ProtocolMessage]:
+        """Messages in send order, each decoded only when reached."""
+        return (e.message for e in self.entries)
+
     def messages(self) -> list[ProtocolMessage]:
-        return [e.message for e in self.entries]
+        return list(self)
 
     def view(self, actor: str) -> list[ProtocolMessage]:
         """Messages the actor could observe: sent by it or delivered to it."""
-        return [e.message for e in self.entries
-                if actor in (e.message.sender, e.message.receiver)]
+        return [m for m in self if actor in (m.sender, m.receiver)]
 
     def received_by(self, actor: str) -> list[ProtocolMessage]:
-        return [e.message for e in self.entries if e.message.receiver == actor]
+        return [m for m in self if m.receiver == actor]
 
     def frames(self) -> list[bytes]:
         return [e.frame for e in self.entries]
@@ -311,8 +354,7 @@ class Transcript:
     def to_jsonl(self, path, unsafe_audit: bool = False) -> None:
         """One JSON object per message; payloads are hashed unless audited."""
         with open(path, "w") as fh:
-            for e in self.entries:
-                m = e.message
+            for m in self:
                 row = {"msg_id": m.msg_id, "sender": m.sender,
                        "receiver": m.receiver, "kind": m.kind.name,
                        "batch_tag": m.batch_tag,
@@ -350,18 +392,20 @@ class Hub:
                 if s != r:
                     self._channels[(s, r)] = (_LocalChannel() if
                                               backend == "local"
-                                              else _TcpChannel())
+                                              else _TcpChannel(timeout))
 
     def send(self, sender: str, receiver: str, kind: MessageKind,
              payload: bytes, batch_tag: int | None = None) -> ProtocolMessage:
         if (sender, receiver) not in self._channels:
             raise ProtocolError(f"no channel {sender!r}->{receiver!r}")
         with self._lock:
+            # bytes() freezes a bytearray or memoryview; an exact bytes
+            # object comes back as itself, uncopied
             msg = ProtocolMessage(self._next_id, sender, receiver,
                                   MessageKind(kind), bytes(payload), batch_tag)
-            self._next_id += 1
             frame = encode_message(msg)
-            self.transcript.entries.append(TranscriptEntry(msg, frame))
+            self._next_id += 1
+            self.transcript.entries.append(TranscriptEntry(frame))
         self._channels[(sender, receiver)].send(frame)
         return msg
 
@@ -417,7 +461,7 @@ def transcript_assert(transcript: Transcript,
 
 def _matrix_payloads(transcript: Transcript, receiver: str | None,
                      kinds) -> Iterable[tuple[ProtocolMessage, np.ndarray]]:
-    for msg in transcript.messages():
+    for msg in transcript:
         if receiver is not None and msg.receiver != receiver:
             continue
         if msg.kind not in kinds:
@@ -463,7 +507,7 @@ def require_cipher_key(receiver: str, sender: str, key_id: str) -> Predicate:
     """All CipherBlocks on a directed channel must be under one key."""
 
     def pred(transcript: Transcript) -> str | None:
-        for msg in transcript.messages():
+        for msg in transcript:
             if (msg.kind == MessageKind.CipherBlock and
                     msg.receiver == receiver and msg.sender == sender):
                 found = unpack_ciphers(msg.payload)[0]
@@ -480,7 +524,7 @@ def allowed_kinds_only(receiver: str, kinds) -> Predicate:
     allowed = set(kinds)
 
     def pred(transcript: Transcript) -> str | None:
-        for msg in transcript.messages():
+        for msg in transcript:
             if msg.receiver == receiver and msg.kind not in allowed:
                 return (f"msg {msg.msg_id} of kind {msg.kind.name} "
                         f"delivered to {receiver}")

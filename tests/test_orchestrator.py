@@ -10,7 +10,7 @@ from mpdl.orchestrator import (MpdlConfig, inference_mae, mpdl_train,
                                predict_unlabeled, prepare_experiment,
                                split_predict)
 from mpdl.synthetic import linear_task
-from mpdl.transport import Hub, MessageKind
+from mpdl.transport import ACTORS, Hub, MessageKind, encode_message
 
 
 FAST = dict(epsilon=math.inf, dual_epochs=2, central_epochs=5,
@@ -203,6 +203,31 @@ def test_transcript_frames_match_golden_digest(mode, backend):
         hub.close()
     assert len(frames) == 77
     assert hashlib.sha256(b"".join(frames)).hexdigest() == GOLDEN_FRAMES[mode]
+
+
+@pytest.mark.parametrize("mode,backend", [("encrypted", "local"),
+                                          ("plaintext", "local"),
+                                          ("plaintext", "tcp")])
+def test_transcript_views_agree_with_frames(mode, backend):
+    world = prepare_experiment(linear_task(80, 2, 2, seed=3), 0.3, seed=3)
+    cfg = MpdlConfig(gamma=0.3, epsilon=8.0, seed=3, key_bits=512,
+                     dual_epochs=1, central_epochs=2, max_iters=1,
+                     batch_size=16, use_encryption=mode == "encrypted")
+    hub = Hub(backend=backend)
+    try:
+        mpdl_train(world, cfg, hub)
+    finally:
+        hub.close()
+    t = hub.transcript
+    messages, frames = t.messages(), t.frames()
+    assert [e.message for e in t.entries] == messages
+    assert [e.frame for e in t.entries] == frames
+    assert all(encode_message(m) == f for m, f in zip(messages, frames))
+    for actor in ACTORS:
+        assert t.view(actor) == [m for m in messages
+                                 if actor in (m.sender, m.receiver)]
+        assert t.received_by(actor) == [m for m in messages
+                                        if m.receiver == actor]
 
 # -- unlabeled routing ---------------------------------------------------------------
 

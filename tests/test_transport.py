@@ -1,7 +1,10 @@
 """Message framing, channel semantics, transcripts and boundary predicates."""
 
+import gc
 import json
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +35,17 @@ def test_frame_round_trip_with_batch_tag():
     got = decode_message(encode_message(msg))
     assert got == msg
     assert got.batch_tag == 31
+
+
+def test_frame_header_layout():
+    msg = ProtocolMessage(0x0102030405060708, "A", "C", MessageKind.GradTerm,
+                          b"xyz", batch_tag=0xA0B0C0D0)
+    want = (struct.pack("<I", 19) + struct.pack("<Q", 0x0102030405060708) +
+            b"AC\x02\x01" + struct.pack("<I", 0xA0B0C0D0) + b"xyz")
+    assert encode_message(msg) == want
+    untagged = ProtocolMessage(9, "B", "A", MessageKind.Control, b"")
+    assert encode_message(untagged) == (struct.pack("<IQ", 12, 9) +
+                                        b"BA\x08\x00")
 
 
 def test_frame_rejects_unknown_actor():
@@ -150,6 +164,21 @@ def test_hub_msg_ids_globally_monotone():
     hub.close()
 
 
+def test_hub_bad_batch_tag_uses_no_msg_id():
+    hub = Hub(actors=("A", "B"))
+    try:
+        for tag in (-1, 2 ** 32):
+            with pytest.raises(ProtocolError, match="batch tag"):
+                hub.send("A", "B", MessageKind.Control, b"", batch_tag=tag)
+        sent = hub.send("A", "B", MessageKind.Control, b"",
+                        batch_tag=2 ** 32 - 1)
+        assert sent.msg_id == 0
+        assert len(hub.transcript) == 1
+        assert hub.recv("B", "A").batch_tag == 2 ** 32 - 1
+    finally:
+        hub.close()
+
+
 def test_hub_recv_timeout():
     hub = Hub(actors=("A", "B"), timeout=0.05)
     with pytest.raises(ProtocolError):
@@ -197,6 +226,62 @@ def test_tcp_backend_produces_identical_transcript():
     assert local.transcript.frames() == tcp.transcript.frames()
     local.close()
     tcp.close()
+
+
+def test_tcp_send_of_unread_large_frame_times_out():
+    # 32 MB is far beyond the socket buffers, so with nobody reading the
+    # send can only finish by timing out
+    hub = Hub(actors=("A", "B"), backend="tcp", timeout=1.0)
+    errors = []
+
+    def send():
+        try:
+            hub.send("A", "B", MessageKind.Control, bytes(32 << 20))
+        except ProtocolError as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=send, daemon=True)
+    try:
+        worker.start()
+        worker.join(timeout=20)
+        assert not worker.is_alive(), "send into a full socket never returned"
+        assert [str(e) for e in errors] == ["send timed out"]
+        # a timed-out send may have left half a frame on the wire
+        with pytest.raises(ProtocolError, match="channel closed"):
+            hub.send("A", "B", MessageKind.Control, b"")
+    finally:
+        hub.close()
+
+
+def test_tcp_channel_closed_raises_protocol_error():
+    hub = Hub(actors=("A", "B"), backend="tcp")
+    hub.close()
+    with pytest.raises(ProtocolError, match="channel closed"):
+        hub.send("A", "B", MessageKind.Control, b"x")
+    with pytest.raises(ProtocolError, match="channel closed"):
+        hub.recv("B", "A")
+
+
+def test_transcript_keeps_each_frame_once():
+    count, size = 50, 64 * 1024
+    hub = Hub(actors=("A", "B"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(count):
+            payload = bytes([i]) * size
+            hub.send("A", "B", MessageKind.MatrixBlock, payload)
+            hub.recv("B", "A", MessageKind.MatrixBlock)
+        del payload
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        hub.close()
+    frame_bytes = sum(map(len, hub.transcript.frames()))
+    assert frame_bytes > count * size
+    assert retained < 1.25 * frame_bytes
 
 
 def test_transcript_views():
