@@ -15,9 +15,11 @@ second full-size temporary is made.
 A row's log-density must not depend on the batch it is computed in:
 the transcript boundary predicates (``transport.forbid_plaintext_values``
 and the bench's criterion-10 check) find leaked log-densities by exact
-float equality against values recomputed over other batches.  ``cdist``
-evaluates each (row, support) pair by the same float operations
-whatever else is in the batch; expanding ||x||^2 - 2 x.s + ||s||^2 as
+float equality against values recomputed over other batches, and
+``DualPartyState.own_log_density`` evaluates each own row once per run
+and serves that value to every later batch.  ``cdist`` evaluates each
+(row, support) pair by the same float operations whatever else is in
+the batch; expanding ||x||^2 - 2 x.s + ||s||^2 as
 a matrix product would not, so it is not used.  The gradient's final
 product with the support is a BLAS call whose last bits can depend on
 the batch shape; no predicate compares gradients.

@@ -13,6 +13,10 @@ its log-densities in plaintext: the partner's residual arrives as an
 additively homomorphic ciphertext, is scaled by the local plaintext
 log-density gradient, and travels back to the residual's owner for
 decryption.  One minibatch round is exactly eight directed messages.
+
+log P(x) depends only on a party's perturbed store and the KDE fitted on
+it, both fixed for a run, so each party evaluates it once per own row
+and reads it back in later rounds (``DualPartyState.own_log_density``).
 """
 
 from __future__ import annotations
@@ -62,6 +66,34 @@ class DualPartyState:
     partner_public: PublicKey
     lam: float = 0.01
     lr: float = 0.1
+    # (kde, store, log P per store row, filled mask): private to this
+    # state, not copied by dataclasses.replace
+    _logp: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
+
+    def own_log_density(self, ids) -> np.ndarray:
+        """log P(x) of the own rows with ``ids`` under ``kde``.
+
+        Each row is evaluated once, in one batch of the rows not seen
+        before, and read from a table after that; a row's value does not
+        depend on its batch, so the result is the same bits as
+        ``log_density_batch(kde, store.rows(ids))``.  The table starts
+        afresh when ``kde`` or ``store`` is replaced by another object.
+        """
+        table = self._logp
+        if table is None or table[0] is not self.kde or \
+                table[1] is not self.store:
+            n = len(self.store.ids)
+            table = self._logp = (self.kde, self.store, np.empty(n),
+                                  np.zeros(n, dtype=bool))
+        _, store, values, filled = table
+        index = store.index
+        rows = np.fromiter((index[i] for i in ids), np.intp)
+        todo = np.unique(rows[~filled[rows]])
+        if todo.size:
+            values[todo] = log_density_batch(self.kde, store.features[todo])
+            filled[todo] = True
+        return values[rows]
 
 
 @dataclass
@@ -181,10 +213,11 @@ class _ShadowCodec:
 class _RoundHalf:
     """One party's bookkeeping while a round is in flight."""
 
-    def __init__(self, state: DualPartyState, batch: np.ndarray,
+    def __init__(self, state: DualPartyState, batch_ids: tuple,
                  factor: float, residual_clip: float):
         self.state = state
-        self.batch = batch
+        self.batch_ids = batch_ids
+        self.batch = batch = state.store.rows(batch_ids)
         self.factor = factor
         self.residual_clip = residual_clip
         self.out, self.cache = mlp_forward(state.model, batch)
@@ -204,7 +237,7 @@ class _RoundHalf:
         xhat = self.received_xhat
         _, align_grad = loss_eval("mse", xhat, self.batch)
         logp_xhat = log_density_batch(s.kde, xhat)
-        logp_x = log_density_batch(s.kde, self.batch)
+        logp_x = s.own_log_density(self.batch_ids)
         grad_logp = grad_log_density_batch(s.kde, xhat)
         # Log-density differences are unbounded below once a generator
         # output leaves the support; an uncapped residual feeds back
@@ -256,8 +289,8 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     audit = hub.unsafe_audit
     codec = (_PaillierCodec(rng, cipher_scale) if use_encryption
              else _ShadowCodec())
-    halves = {st.name: _RoundHalf(st, st.store.rows(batch_ids), factor,
-                                  residual_clip) for st in (state_a, state_b)}
+    halves = {st.name: _RoundHalf(st, batch_ids, factor, residual_clip)
+              for st in (state_a, state_b)}
 
     # (1-2) A -> B: xhat_B = f(x_A), then B -> A: xhat_A = g(x_B)
     for src, dst in (("A", "B"), ("B", "A")):

@@ -3,8 +3,9 @@
 Every cross-party byte in the package rides on a ProtocolMessage.  The
 wire format is a length-framed little-endian envelope; payload layouts
 are fixed per message kind.  A hub owns one FIFO channel per directed
-actor pair, assigns globally monotone message ids at send time, and
-keeps each frame once in a transcript; messages are decoded on access.
+actor pair, assigns globally monotone message ids to the frames its
+channels accept, and keeps each such frame once in a transcript (a send
+that raises leaves no trace); messages are decoded on access.
 Transcripts are the audit surface: boundary checks are declarative
 predicates evaluated over them after a protocol run.
 
@@ -404,9 +405,12 @@ class Hub:
             msg = ProtocolMessage(self._next_id, sender, receiver,
                                   MessageKind(kind), bytes(payload), batch_tag)
             frame = encode_message(msg)
+            # a frame is recorded, and its id used up, only once its
+            # channel has taken it; a local send never blocks and a TCP
+            # send is bounded by the hub timeout
+            self._channels[(sender, receiver)].send(frame)
             self._next_id += 1
             self.transcript.entries.append(TranscriptEntry(frame))
-        self._channels[(sender, receiver)].send(frame)
         return msg
 
     def recv(self, receiver: str, sender: str,

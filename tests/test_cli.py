@@ -243,6 +243,30 @@ def test_graph_synthetic_csv(tmp_path):
     assert 0.0 <= auc <= 1.0
 
 
+# exact bytes of a seeded multi-epoch graph run: its own epoch loop over
+# run_dual_round repeats the same rows, and no golden digest covers it
+GRAPH_MULTI_EPOCH_CSV = (
+    '# config: {"batch_size": 32, "central_epochs": 20, "dual_epochs": 3, '
+    '"epsilon": 0.5, "epsilons": "0.1,0.5,1,2,inf", '
+    '"exact_duality_grad": false, "folds": 5, "gamma": 0.1, '
+    '"gammas": "0.4", "holdout_fraction": 0.2, "id_column": null, '
+    '"key_bits": 512, "label_column": "label", "lam": 0.01, "lr": 0.1, '
+    '"max_iters": 2, "no_encryption": true, "repeats": 1, "seed": 0, '
+    '"sensitivity_mode": "per_neuron", "synthetic_nodes": 50, '
+    '"test_fraction": 0.1, "threshold": 0.15}\n'
+    "# inputs: synthetic\n"
+    "gamma,auc_mean,auc_std,repeats\n"
+    "0.4,0.84,0.0,1\n").encode()
+
+
+def test_graph_multi_epoch_csv_bytes(tmp_path):
+    out = tmp_path / "graph.csv"
+    assert main(["graph", "--out", str(out), "--synthetic-nodes", "50",
+                 "--gammas", "0.4", "--repeats", "1", "--dual-epochs", "3",
+                 "--no-encryption"]) == 0
+    assert out.read_bytes() == GRAPH_MULTI_EPOCH_CSV
+
+
 def test_graph_edge_list_inputs(tmp_path):
     # tiny explicit graph: a 6-cycle with one chord
     feats = tmp_path / "nodes.csv"

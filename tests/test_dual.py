@@ -1,11 +1,14 @@
 """Dual-learning round: loss algebra, gradient assembly, the 8-message wire."""
 
+import dataclasses
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from mpdl.data import PartyDataset
+import mpdl.dual
 from mpdl.density import fit_kde, grad_log_density_batch, log_density_batch
 from mpdl.dual import (DualModelPair, DualPartyState, dual_infer, dual_loss,
                        dual_output_grad, run_dual_round)
@@ -315,3 +318,100 @@ def test_audit_shadow_only_under_unsafe_hub(keypairs):
                          random.Random(9))
     assert len(res.record.shadow) == 4  # both residuals, both cross terms
     hub.close()
+
+
+# -- per-run log P(x) table ---------------------------------------------------
+
+def _epochs(state_a, state_b, hub, epochs, batch=4, seed=21):
+    order_rng = np.random.default_rng(seed)
+    ids = state_a.store.ids
+    for _ in range(epochs):
+        order = order_rng.permutation(len(ids))
+        for start in range(0, len(ids), batch):
+            run_dual_round(state_a, state_b,
+                           [ids[k] for k in order[start:start + batch]],
+                           hub, random.Random(start), use_encryption=False)
+
+
+def test_own_rows_evaluated_once_per_run(keypairs, monkeypatch):
+    seen = Counter()
+    original = mpdl.dual.log_density_batch
+
+    def counting(model, x):
+        for row in np.asarray(x):
+            seen[id(model), row.tobytes()] += 1
+        return original(model, x)
+
+    monkeypatch.setattr(mpdl.dual, "log_density_batch", counting)
+    state_a, state_b = make_states(keypairs)
+    hub = Hub()
+    try:
+        _epochs(state_a, state_b, hub, epochs=3)
+    finally:
+        hub.close()
+    for st in (state_a, state_b):
+        assert [seen[id(st.kde), row.tobytes()]
+                for row in st.store.features] == [1] * len(st.store.ids)
+
+
+def test_own_log_density_matches_direct_evaluation(keypairs):
+    state_a, _ = make_states(keypairs)
+    for ids in ([3, 1, 4], [1, 5, 9, 2, 6], list(range(12)), [5]):
+        assert np.array_equal(
+            state_a.own_log_density(ids),
+            log_density_batch(state_a.kde, state_a.store.rows(ids)))
+
+
+def _frames_and_weights(state_a, state_b, batch):
+    hub = Hub()
+    try:
+        res = run_dual_round(state_a, state_b, batch, hub, random.Random(5),
+                             use_encryption=False)
+        frames = hub.transcript.frames()
+    finally:
+        hub.close()
+    return frames, [layer.weights for model in (res.pair.a_to_b,
+                                                res.pair.b_to_a)
+                    for layer in model.layers]
+
+
+@pytest.mark.parametrize("swap", ["kde", "store"])
+def test_table_resets_when_kde_or_store_changes(keypairs, swap):
+    state_a, state_b = make_states(keypairs)
+    hub = Hub()
+    try:
+        _epochs(state_a, state_b, hub, epochs=2)
+    finally:
+        hub.close()
+    if swap == "kde":
+        state_a.kde = fit_kde(state_a.store.features,
+                              bandwidth=2 * state_a.kde.bandwidth)
+    else:
+        features = np.random.default_rng(3).uniform(size=(14, 3))
+        state_a.store = PartyDataset(tuple(range(14)), features)
+    fresh_a = DualPartyState("A", state_a.store, state_a.kde, state_a.model,
+                             state_a.keys, state_a.partner_public,
+                             state_a.lam, state_a.lr)
+    fresh_b = dataclasses.replace(state_b)
+    batch = [0, 3, 7, 11]
+    got_frames, got_weights = _frames_and_weights(state_a, state_b, batch)
+    want_frames, want_weights = _frames_and_weights(fresh_a, fresh_b, batch)
+    assert got_frames == want_frames
+    assert len(got_weights) == len(want_weights)
+    assert all(np.array_equal(g, w)
+               for g, w in zip(got_weights, want_weights))
+
+
+def test_table_is_private_to_each_state(keypairs):
+    state_a, _ = make_states(keypairs)
+    state_a.own_log_density([0, 1, 2])
+    copy = dataclasses.replace(state_a)
+    fresh = DualPartyState("A", state_a.store, state_a.kde, state_a.model,
+                           state_a.keys, state_a.partner_public,
+                           state_a.lam, state_a.lr)
+    assert copy == state_a == fresh
+    assert repr(copy) == repr(state_a) == repr(fresh)
+    assert "_logp" not in repr(state_a)
+    assert copy._logp is None and fresh._logp is None
+    copy.own_log_density([0, 1, 2])
+    assert copy._logp[2] is not state_a._logp[2]

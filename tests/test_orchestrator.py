@@ -205,6 +205,33 @@ def test_transcript_frames_match_golden_digest(mode, backend):
     assert hashlib.sha256(b"".join(frames)).hexdigest() == GOLDEN_FRAMES[mode]
 
 
+# the same task over three dual epochs and two iterations, so every
+# co-occurring id takes part in several rounds of one run
+GOLDEN_FRAMES_MULTI_EPOCH = {
+    "encrypted": "fa9473da40e53bc4b96d113efdd6c88d"
+                 "c98d911ddeb82f50376100fe5c0877a2",
+    "plaintext": "1b4584d241ea708eb8957fbca48f4a0f"
+                 "8f30f9425e2ff32befe194bcd8e207ed",
+}
+
+
+@pytest.mark.parametrize("mode", ["encrypted", "plaintext"])
+def test_multi_epoch_transcript_frames_match_golden_digest(mode):
+    world = prepare_experiment(linear_task(80, 2, 2, seed=3), 0.3, seed=3)
+    cfg = MpdlConfig(gamma=0.3, epsilon=8.0, seed=3, key_bits=512,
+                     dual_epochs=3, central_epochs=2, max_iters=2,
+                     batch_size=16, use_encryption=mode == "encrypted")
+    hub = Hub()
+    try:
+        mpdl_train(world, cfg, hub)
+        frames = hub.transcript.frames()
+    finally:
+        hub.close()
+    assert len(frames) == 203
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == \
+        GOLDEN_FRAMES_MULTI_EPOCH[mode]
+
+
 @pytest.mark.parametrize("mode,backend", [("encrypted", "local"),
                                           ("plaintext", "local"),
                                           ("plaintext", "tcp")])

@@ -179,6 +179,38 @@ def test_hub_bad_batch_tag_uses_no_msg_id():
         hub.close()
 
 
+@pytest.mark.parametrize("backend", ["local", "tcp"])
+def test_hub_failed_send_leaves_transcript_empty(backend):
+    hub = Hub(actors=("A", "B"), backend=backend)
+    hub.close()
+    with pytest.raises(ProtocolError, match="channel closed"):
+        hub.send("A", "B", MessageKind.Control, b"x")
+    assert len(hub.transcript) == 0
+
+
+def test_hub_failed_send_uses_no_msg_id(monkeypatch):
+    hub = Hub(actors=("A", "B"))
+    channel = hub._channels[("A", "B")]
+    original, failed = channel.send, []
+
+    def fail_once(frame):
+        if not failed:
+            failed.append(frame)
+            raise ProtocolError("send timed out")
+        original(frame)
+
+    monkeypatch.setattr(channel, "send", fail_once)
+    try:
+        with pytest.raises(ProtocolError, match="send timed out"):
+            hub.send("A", "B", MessageKind.Control, b"lost")
+        sent = hub.send("A", "B", MessageKind.Control, b"kept")
+        assert sent.msg_id == 0
+        assert [m.payload for m in hub.transcript.messages()] == [b"kept"]
+        assert hub.recv("B", "A") == sent
+    finally:
+        hub.close()
+
+
 def test_hub_recv_timeout():
     hub = Hub(actors=("A", "B"), timeout=0.05)
     with pytest.raises(ProtocolError):
