@@ -41,9 +41,9 @@ def main() -> None:
                              keys_b, keys_a.public, lam=0.01, lr=0.2)
 
     hub = Hub()
-    result = run_dual_round(state_a, state_b, ids, hub, random.Random(3))
+    run_dual_round(state_a, state_b, ids, hub, random.Random(3))
     print("== the eight messages of one round ==")
-    for msg in result.record.messages:
+    for msg in hub.transcript:
         print(f"  #{msg.msg_id}  {msg.sender} -> {msg.receiver}  "
               f"{msg.kind.name:<13} {len(msg.payload):>6} bytes")
 

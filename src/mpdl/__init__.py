@@ -16,14 +16,14 @@ from .data import FeatureSplit, GammaSplit, PartyDataset, SplitSpec, \
 from .density import KdeModel, bandwidth_rule, fit_kde, grad_log_density, \
     grad_log_density_batch, log_density, log_density_batch
 from .dual import DualModelPair, DualPartyState, DualRoundTranscript, \
-    dual_infer, dual_loss, dual_output_grad, run_dual_round
+    dual_infer, dual_loss, run_dual_round
 from .graph import complete_feature_matrix, confusion_protocol, link_auc, \
     link_prediction_auc, node_representations
 from .nn import DenseLayer, Mlp, backprop_from_output_grad, \
     dual_hidden_width, init_mlp, loss_eval, mlp_forward, sgd_step
 from .orchestrator import MpdlConfig, MpdlResult, PreparedExperiment, \
     RunReport, inference_mae, mpdl_train, predict_unlabeled, \
-    prepare_experiment, split_predict, split_train
+    prepare_experiment, split_predict, split_train, train_dual_generators
 from .paillier import CipherVector, FixedPoint, KeyPair, PublicKey, \
     SecretKey, add_cipher, decode, decrypt_vector, encode, encrypt_vector, \
     keygen, mul_plain, negate_cipher

@@ -24,7 +24,8 @@ import sys
 
 import numpy as np
 
-from .orchestrator import MpdlConfig, mpdl_train, prepare_experiment
+from .orchestrator import MpdlConfig, mpdl_train, prepare_experiment, \
+    train_dual_generators
 from .transport import ProtocolError
 
 DEFAULTS = {
@@ -209,28 +210,36 @@ def cmd_privacy_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    from .data import SplitSpec, load_normalize, split_by_gamma
+    from random import Random
+    from .data import PartyDataset, SplitSpec, load_normalize, \
+        partition_features, split_by_gamma
     from .density import fit_kde
-    from .dual import DualPartyState, run_dual_round
+    from .dual import DualModelPair, DualPartyState
     from .graph import link_prediction_auc
     from .nn import dual_hidden_width, init_mlp
-    from .orchestrator import _rng_int
     from .paillier import keygen
-    from .data import PartyDataset, partition_features
-    from random import Random
+    from .transport import Hub
 
     settings = resolve_settings(args)
-    if args.edges and args.features:
+    if bool(args.edges) != bool(args.features):
+        raise ValueError("--edges and --features must be given together")
+    if args.edges:
         feats = load_normalize(args.features, id_column=settings["id_column"],
                                label_column=None)
         index = {i: k for k, i in enumerate(feats.ids)}
         n = len(feats.ids)
         adj = np.zeros((n, n), dtype=np.int8)
         with open(args.edges) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 parts = line.split()
-                if len(parts) != 2:
+                if not parts:
                     continue
+                where = f"{args.edges}:{lineno}"
+                if len(parts) != 2:
+                    raise ValueError(f"{where}: expected 'src dst'")
+                for p in parts:
+                    if p not in index:
+                        raise ValueError(f"{where}: unknown node {p!r}")
                 u, v = (index[p] for p in parts)
                 adj[u, v] = adj[v, u] = 1
         ds = PartyDataset(feats.ids, feats.features,
@@ -276,21 +285,15 @@ def cmd_graph(args: argparse.Namespace) -> int:
                 init_mlp([d_b, dual_hidden_width(d_b, d_a), d_a],
                          ["relu", "identity"], rng),
                 keys_b, keys_a.public, settings["lam"], settings["lr"])
-            proto_rng = Random(seed + 1)
-            from .transport import Hub
             hub = Hub()
             try:
-                for _ in range(settings["dual_epochs"]):
-                    order = rng.permutation(len(co))
-                    for start in range(0, len(co), settings["batch_size"]):
-                        batch = [co[k] for k in
-                                 order[start:start + settings["batch_size"]]]
-                        run_dual_round(state_a, state_b, batch, hub,
-                                       proto_rng, use_encryption=not
-                                       settings["no_encryption"])
+                train_dual_generators(
+                    state_a, state_b, co, hub, settings["dual_epochs"],
+                    settings["batch_size"], rng, Random(seed + 1),
+                    use_encryption=not settings["no_encryption"],
+                    exact_duality_grad=settings["exact_duality_grad"])
             finally:
                 hub.close()
-            from .dual import DualModelPair
             pair = DualModelPair(state_a.model, state_b.model)
             auc = link_prediction_auc(
                 pair, adj, fsplit.party_a.features, fsplit.party_b.features,

@@ -98,11 +98,10 @@ class DualPartyState:
 
 @dataclass
 class DualRoundTranscript:
-    """Messages of one round plus, under audit, the plaintext shadow."""
+    """The ids of one round's minibatch; the messages are in the hub's
+    transcript under the round's batch tag."""
 
     batch_ids: tuple
-    messages: list[ProtocolMessage] = field(default_factory=list)
-    shadow: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 class DualRoundResult(NamedTuple):
@@ -125,35 +124,11 @@ def dual_loss(logp_xa, logp_xhat_a, logp_xhat_b, logp_xb) -> float:
     return float((r * r).mean())
 
 
-def dual_output_grad(align_grad, grad_logp_xhat, own_residual,
-                     cross_residual, lam: float,
-                     exact: bool = False) -> np.ndarray:
-    """Total output-layer gradient for one generator.
-
-    ``align_grad`` already carries the batch-mean factor; the duality
-    term adds lam * grad log P(xhat) * (own + cross residual) / batch,
-    doubled when ``exact`` asks for the true derivative of the squared
-    residual rather than the halved conventional form.
-    """
-    g = np.asarray(align_grad, dtype=np.float64)
-    glp = np.asarray(grad_logp_xhat, dtype=np.float64)
-    own = np.atleast_1d(np.asarray(own_residual, dtype=np.float64))
-    cross = np.atleast_1d(np.asarray(cross_residual, dtype=np.float64))
-    if g.shape != glp.shape or own.shape != (g.shape[0],) or \
-            cross.shape != (g.shape[0],):
-        raise ValueError("gradient term shapes do not line up")
-    factor = 2.0 if exact else 1.0
-    return g + lam * factor * glp * (own + cross)[:, None] / g.shape[0]
-
-
 def _exchange(hub: Hub, sender: str, receiver: str, kind: MessageKind,
-              payload: bytes, tag, record: DualRoundTranscript
-              ) -> ProtocolMessage:
-    """Send one message, take delivery at the receiver and log it."""
+              payload: bytes, tag) -> ProtocolMessage:
+    """Send one message and take delivery at the receiver."""
     hub.send(sender, receiver, kind, payload, batch_tag=tag)
-    msg = hub.recv(receiver, sender, kind)
-    record.messages.append(msg)
-    return msg
+    return hub.recv(receiver, sender, kind)
 
 
 class _PaillierCodec:
@@ -165,7 +140,6 @@ class _PaillierCodec:
     """
 
     kind = MessageKind.CipherBlock
-    encrypts = True
 
     def __init__(self, rng, scale: int):
         self.rng = rng
@@ -198,7 +172,6 @@ class _ShadowCodec:
     """Test shadow: the same values travel as plaintext float matrices."""
 
     kind = MessageKind.GradTerm
-    encrypts = False
 
     def seal(self, keys: KeyPair, resid: np.ndarray) -> bytes:
         return pack_matrix(resid[:, None])
@@ -285,8 +258,6 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     factor = 2.0 if exact_duality_grad else 1.0
     if not residual_clip > 0.0 or not grad_clip > 0.0:
         raise ValueError("residual_clip and grad_clip must be positive")
-    record = DualRoundTranscript(batch_ids)
-    audit = hub.unsafe_audit
     codec = (_PaillierCodec(rng, cipher_scale) if use_encryption
              else _ShadowCodec())
     halves = {st.name: _RoundHalf(st, batch_ids, factor, residual_clip)
@@ -295,7 +266,7 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     # (1-2) A -> B: xhat_B = f(x_A), then B -> A: xhat_A = g(x_B)
     for src, dst in (("A", "B"), ("B", "A")):
         msg = _exchange(hub, src, dst, MessageKind.InferredBatch,
-                        pack_matrix(halves[src].out), round_tag, record)
+                        pack_matrix(halves[src].out), round_tag)
         halves[dst].received_xhat = unpack_matrix(msg.payload)
 
     # (3-6) B -> A, then A -> B: the plaintext part of the gradient for
@@ -304,15 +275,12 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     for src, dst in (("B", "A"), ("A", "B")):
         plain, own_resid, halves[src].cross_mult = halves[src].local_terms()
         msg = _exchange(hub, src, dst, MessageKind.GradTerm,
-                        pack_matrix(plain), round_tag, record)
+                        pack_matrix(plain), round_tag)
         halves[dst].plain_in = unpack_matrix(msg.payload)
         msg = _exchange(hub, src, dst, codec.kind,
                         codec.seal(halves[src].state.keys, own_resid),
-                        round_tag, record)
+                        round_tag)
         halves[dst].partner_resid = msg.payload
-        # a shadow-codec residual payload is already the plaintext
-        if audit and codec.encrypts:
-            record.shadow[msg.msg_id] = own_resid.copy()
 
     # (7-8) A -> B, then B -> A: the cross product for the receiver's
     # generator under the receiver's key: for each sample, the sender's
@@ -322,11 +290,9 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
         msg = _exchange(hub, src, dst, codec.kind,
                         codec.cross(sender.state.partner_public,
                                     sender.partner_resid, sender.cross_mult),
-                        round_tag, record)
+                        round_tag)
         halves[dst].cross_in = codec.open(halves[dst].state.keys.secret,
                                           msg.payload)
-        if audit:
-            record.shadow[msg.msg_id] = halves[dst].cross_in.copy()
 
     # local assembly and SGD: no further communication
     for half in halves.values():
@@ -336,4 +302,4 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
         half.state.model = sgd_step(half.state.model, grads, half.state.lr)
 
     return DualRoundResult(DualModelPair(state_a.model, state_b.model),
-                           record)
+                           DualRoundTranscript(batch_ids))

@@ -255,6 +255,29 @@ def split_predict(hub: Hub, model: SplitCentralModel, x_a,
     return probs.argmax(axis=1)
 
 
+def train_dual_generators(state_a: DualPartyState, state_b: DualPartyState,
+                          ids, hub: Hub, epochs: int, batch_size: int,
+                          order_rng: np.random.Generator, protocol_rng,
+                          first_tag: int = 0, **round_settings) -> int:
+    """Train both generators for ``epochs`` passes over the aligned ids.
+
+    Each epoch draws one permutation of ``ids`` from ``order_rng`` and
+    runs one ``run_dual_round`` per consecutive ``batch_size`` slice of
+    it, with ``protocol_rng`` and ``round_settings`` (the round's
+    encryption, gradient, scale and clip keywords).  Rounds are tagged
+    ``first_tag``, ``first_tag + 1``, ...; the next free tag is returned.
+    """
+    tag = first_tag
+    for _ in range(epochs):
+        order = order_rng.permutation(len(ids))
+        for start in range(0, len(ids), batch_size):
+            batch = [ids[k] for k in order[start:start + batch_size]]
+            run_dual_round(state_a, state_b, batch, hub, protocol_rng,
+                           round_tag=tag, **round_settings)
+            tag += 1
+    return tag
+
+
 def mpdl_train(data: PreparedExperiment, config: MpdlConfig,
                hub: Hub | None = None) -> MpdlResult:
     """Run the full multi-party lifecycle and return models plus report.
@@ -357,19 +380,13 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
         d_t = [i for i in common if i not in held_out]
 
         # dual generators keep training across iterations
-        for _ in range(config.dual_epochs):
-            order = order_rng.permutation(len(common))
-            for start in range(0, len(common), config.batch_size):
-                batch = [common[k] for k in
-                         order[start:start + config.batch_size]]
-                run_dual_round(state_a, state_b, batch, hub, protocol_rng,
-                               use_encryption=config.use_encryption,
-                               exact_duality_grad=config.exact_duality_grad,
-                               cipher_scale=config.cipher_scale,
-                               round_tag=round_tag,
-                               residual_clip=config.residual_clip,
-                               grad_clip=config.grad_clip)
-                round_tag += 1
+        round_tag = train_dual_generators(
+            state_a, state_b, common, hub, config.dual_epochs,
+            config.batch_size, order_rng, protocol_rng, round_tag,
+            use_encryption=config.use_encryption,
+            exact_duality_grad=config.exact_duality_grad,
+            cipher_scale=config.cipher_scale,
+            residual_clip=config.residual_clip, grad_clip=config.grad_clip)
 
         # B completes its own-only rows with inferred A-side features
         b_only = list(split.b_only)

@@ -17,7 +17,6 @@ re-clamped to [0, 1].
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -91,7 +90,8 @@ def laplace_sample(scale: float, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class PerturbedDataset:
-    """One-shot perturbation output; retains the draws for auditing."""
+    """One-shot perturbation output; ``noise`` keeps the exact draws that
+    were added to the features."""
 
     ids: tuple
     features: np.ndarray
@@ -148,14 +148,3 @@ class OneShotPerturber:
         out = perturb_dataset(features, self.config, self.rng, ids=ids)
         self._cache[name] = out
         return out
-
-
-def write_noise_audit(perturbed: PerturbedDataset, path) -> None:
-    """Dump (sample_id, feature_index, noise) rows; audit use only."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "feature_index", "noise"])
-        for row, sample_id in enumerate(perturbed.ids):
-            for col in range(perturbed.noise.shape[1]):
-                writer.writerow([sample_id, col,
-                                 repr(float(perturbed.noise[row, col]))])

@@ -352,18 +352,16 @@ class Transcript:
     def frames(self) -> list[bytes]:
         return [e.frame for e in self.entries]
 
-    def to_jsonl(self, path, unsafe_audit: bool = False) -> None:
-        """One JSON object per message; payloads are hashed unless audited."""
+    def to_jsonl(self, path) -> None:
+        """One JSON object per message: its header fields, payload size
+        and payload sha256, never the payload itself."""
         with open(path, "w") as fh:
             for m in self:
                 row = {"msg_id": m.msg_id, "sender": m.sender,
                        "receiver": m.receiver, "kind": m.kind.name,
                        "batch_tag": m.batch_tag,
-                       "payload_bytes": len(m.payload)}
-                if unsafe_audit:
-                    row["payload_hex"] = m.payload.hex()
-                else:
-                    row["payload_sha256"] = sha256(m.payload).hexdigest()
+                       "payload_bytes": len(m.payload),
+                       "payload_sha256": sha256(m.payload).hexdigest()}
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
@@ -374,7 +372,7 @@ class Hub:
     """
 
     def __init__(self, actors: Sequence[str] = ACTORS, backend: str = "local",
-                 timeout: float = DEFAULT_TIMEOUT, unsafe_audit: bool = False):
+                 timeout: float = DEFAULT_TIMEOUT):
         for a in actors:
             if a not in ACTORS:
                 raise ProtocolError(f"unknown actor {a!r}")
@@ -383,7 +381,6 @@ class Hub:
         self.actors = tuple(actors)
         self.backend = backend
         self.timeout = timeout
-        self.unsafe_audit = unsafe_audit
         self.transcript = Transcript()
         self._lock = threading.Lock()
         self._next_id = 0

@@ -21,7 +21,7 @@ from mpdl.central import (CentralBatch, central_forward_backward,
 from mpdl.data import (PartyDataset, SplitSpec, blinded_intersection,
                        partition_features, split_by_gamma)
 from mpdl.density import fit_kde, grad_log_density_batch, log_density_batch
-from mpdl.dual import DualPartyState, dual_output_grad, run_dual_round
+from mpdl.dual import DualPartyState, run_dual_round
 from mpdl.graph import confusion_protocol, link_auc
 from mpdl.nn import (backprop_from_output_grad, init_mlp, loss_eval,
                      mlp_forward, sgd_step)
@@ -213,35 +213,63 @@ def test_criterion_04_dp_noise_distribution():
 
 # -- 5: analytic gradients match finite differences ----------------------------
 
-def test_criterion_05_gradients_match_finite_differences():
+def _dual_round_instance(seed: int, keys_a, keys_b):
+    """Seven aligned rows per party, a 5-row batch, fresh generators."""
+    rng = np.random.default_rng(seed)
+    x_a = rng.uniform(size=(7, 2))
+    x_b = rng.uniform(size=(7, 3))
+    ids = tuple(range(7))
+    f = init_mlp([2, 4, 3], ["relu", "identity"], rng)
+    g = init_mlp([3, 4, 2], ["relu", "identity"], rng)
+    state_a = DualPartyState("A", PartyDataset(ids, x_a), fit_kde(x_a), f,
+                             keys_a, keys_b.public, lam=0.05)
+    state_b = DualPartyState("B", PartyDataset(ids, x_b), fit_kde(x_b), g,
+                             keys_b, keys_a.public, lam=0.05)
+    return state_a, state_b, list(ids[:5])
+
+
+def test_criterion_05_gradients_match_finite_differences(monkeypatch):
     with criterion(5, "dual and central gradients match FD") as info:
         h = 1e-6
+        key_rng = random.Random(5005)
+        keys_a, keys_b = keygen(512, key_rng), keygen(512, key_rng)
+        captured = {}
+
+        def capture(model, cache, out_grad):
+            captured[id(model)] = out_grad
+            return backprop_from_output_grad(model, cache, out_grad)
+
+        monkeypatch.setattr("mpdl.dual.backprop_from_output_grad", capture)
         worst_dual = 0.0
         for inst in range(20):
-            rng = np.random.default_rng(5000 + inst)
-            support = rng.uniform(size=(7, 3))
-            kde = fit_kde(support)
-            x = rng.uniform(size=(5, 3))
-            xhat = rng.uniform(size=(5, 3))
-            cross = rng.uniform(-0.5, 0.5, size=5)
-            lam = 0.05
+            state_a, state_b, batch = _dual_round_instance(5000 + inst,
+                                                           keys_a, keys_b)
+            f, g, lam = state_a.model, state_b.model, state_a.lam
+            x_a = state_a.store.rows(batch)
+            x_b = state_b.store.rows(batch)
+            xhat_b = mlp_forward(f, x_a)[0]
+            xhat_a = mlp_forward(g, x_b)[0]  # held fixed
+            a_part = log_density_batch(state_a.kde, x_a) - \
+                log_density_batch(state_a.kde, xhat_a)
+            logp_b = log_density_batch(state_b.kde, x_b)
 
             def composite(pt):
-                mse, _ = loss_eval("mse", pt, x)
-                r = log_density_batch(kde, pt) + cross
+                # mse(xhat_B, x_B) + lam * mean(r^2), r the paper's residual
+                mse = float(((pt - x_b) ** 2).sum() / len(batch))
+                r = a_part + log_density_batch(state_b.kde, pt) - logp_b
                 return mse + lam * float((r * r).mean())
 
-            _, align_grad = loss_eval("mse", xhat, x)
-            resid = log_density_batch(kde, xhat) + cross
-            analytic = dual_output_grad(align_grad,
-                                        grad_log_density_batch(kde, xhat),
-                                        resid, np.zeros_like(resid), lam,
-                                        exact=True)
-            for i in range(5):
-                for j in range(3):
-                    up = xhat.copy()
+            hub = Hub()
+            run_dual_round(state_a, state_b, batch, hub, random.Random(inst),
+                           use_encryption=False, exact_duality_grad=True,
+                           residual_clip=1e9, grad_clip=1e9)
+            hub.close()
+            analytic = captured[id(f)]  # A's output gradient, over xhat_B
+            for i in range(len(batch)):
+                for j in range(xhat_b.shape[1]):
+                    up = xhat_b.copy()
                     up[i, j] += h
-                    dn = xhat.copy()
+                    dn = xhat_b.copy()
                     dn[i, j] -= h
                     fd = (composite(up) - composite(dn)) / (2.0 * h)
                     worst_dual = max(worst_dual,

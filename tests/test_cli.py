@@ -199,7 +199,7 @@ def test_mpdl_closes_run_hub_on_failure(dataset_csv, tmp_path, monkeypatch):
 
 def test_graph_closes_hub_on_failure(tmp_path, monkeypatch):
     closed = _record_closes(monkeypatch)
-    monkeypatch.setattr("mpdl.dual.run_dual_round", _failing_round)
+    monkeypatch.setattr("mpdl.orchestrator.run_dual_round", _failing_round)
     assert main(["graph", "--out", str(tmp_path / "g.csv"),
                  "--synthetic-nodes", "50", "--gammas", "0.4", "--repeats",
                  "1", "--dual-epochs", "1", "--no-encryption"]) == 3
@@ -288,6 +288,58 @@ def test_graph_edge_list_inputs(tmp_path):
     header = out.read_text().splitlines()[1]
     assert header == (f"# inputs: {content_hash(str(edges))},"
                       f"{content_hash(str(feats))}")
+
+
+def test_graph_passes_exact_duality_grad_to_every_round(tmp_path,
+                                                       monkeypatch):
+    import mpdl.orchestrator
+    seen = []
+    original = mpdl.orchestrator.run_dual_round
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("mpdl.orchestrator.run_dual_round", recording)
+    assert main(["graph", "--out", str(tmp_path / "g.csv"),
+                 "--synthetic-nodes", "50", "--gammas", "0.4", "--repeats",
+                 "1", "--dual-epochs", "2", "--no-encryption",
+                 "--exact-duality-grad"]) == 0
+    assert seen
+    assert all(kw.get("exact_duality_grad") is True for kw in seen)
+
+
+def _graph_inputs(tmp_path, edge_text):
+    feats = tmp_path / "nodes.csv"
+    feats.write_text("id,f0,f1\nn1,0.1,0.2\nn2,0.3,0.4\nn3,0.5,0.6\n"
+                     "n4,0.7,0.8\n")
+    edges = tmp_path / "edges.txt"
+    edges.write_text(edge_text)
+    return ["graph", "--edges", str(edges), "--features", str(feats),
+            "--id-column", "id", "--out", str(tmp_path / "g.csv"),
+            "--gammas", "0.6", "--repeats", "1", "--dual-epochs", "1",
+            "--no-encryption"]
+
+
+@pytest.mark.parametrize("edge_text, message", [
+    ("n1 n2\n\nn1 n9\n", "edges.txt:3: unknown node 'n9'"),
+    ("n1 n2\nn2 n3 n4\n", "edges.txt:2: expected 'src dst'"),
+], ids=["unknown-node", "three-fields"])
+def test_graph_bad_edge_line_exits_2(tmp_path, capsys, edge_text, message):
+    assert main(_graph_inputs(tmp_path, edge_text)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--edges", "--features"])
+def test_graph_one_input_flag_alone_exits_2(tmp_path, capsys, flag):
+    argv = _graph_inputs(tmp_path, "n1 n2\n")
+    drop = "--features" if flag == "--edges" else "--edges"
+    k = argv.index(drop)
+    del argv[k:k + 2]
+    assert main(argv) == 2
+    assert "--edges and --features" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
 
 
 # -- exit codes ----------------------------------------------------------------------

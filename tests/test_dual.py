@@ -9,9 +9,9 @@ import pytest
 
 from mpdl.data import PartyDataset
 import mpdl.dual
-from mpdl.density import fit_kde, grad_log_density_batch, log_density_batch
+from mpdl.density import fit_kde, log_density_batch
 from mpdl.dual import (DualModelPair, DualPartyState, dual_infer, dual_loss,
-                       dual_output_grad, run_dual_round)
+                       run_dual_round)
 from mpdl.nn import (backprop_from_output_grad, clip_global_norm, init_mlp,
                      loss_eval, mlp_forward, sgd_step)
 from mpdl.paillier import keygen
@@ -63,82 +63,43 @@ def test_dual_loss_shape_mismatch():
         dual_loss([0.0, 1.0], [0.0], [0.0], [0.0])
 
 
-def test_dual_output_grad_lambda_zero_is_alignment():
-    rng = np.random.default_rng(4)
-    align = rng.normal(size=(6, 3))
-    glp = rng.normal(size=(6, 3))
-    resid = rng.normal(size=6)
-    got = dual_output_grad(align, glp, resid, -resid, lam=0.0)
-    assert np.array_equal(got, align)
+def _round_output_grads(keypairs, monkeypatch, **round_kwargs):
+    """Each generator's output-layer gradient in one shadow round, with
+    the alignment gradient it contains."""
+    state_a, state_b = make_states(keypairs, lam=0.3)
+    batch = list(range(6))
+    owner = {id(state_a.model): "A", id(state_b.model): "B"}
+    align = {}
+    for st, partner in ((state_a, state_b), (state_b, state_a)):
+        xhat = dual_infer(st.model, st.store.rows(batch))
+        align[st.name] = loss_eval("mse", xhat,
+                                   partner.store.rows(batch))[1]
+    seen = {}
+
+    def capture(model, cache, out_grad):
+        seen[owner[id(model)]] = out_grad
+        return backprop_from_output_grad(model, cache, out_grad)
+
+    monkeypatch.setattr(mpdl.dual, "backprop_from_output_grad", capture)
+    hub = Hub()
+    run_dual_round(state_a, state_b, batch, hub, random.Random(5),
+                   use_encryption=False, **round_kwargs)
+    hub.close()
+    assert seen.keys() == align.keys()
+    return [(seen[k], align[k]) for k in "AB"]
 
 
-def test_dual_output_grad_zero_residual_is_alignment():
-    rng = np.random.default_rng(5)
-    align = rng.normal(size=(6, 3))
-    glp = rng.normal(size=(6, 3))
-    zero = np.zeros(6)
-    got = dual_output_grad(align, glp, zero, zero, lam=0.7)
-    assert np.array_equal(got, align)
-
-
-def test_dual_output_grad_exact_doubles_duality_term():
-    rng = np.random.default_rng(6)
-    align = rng.normal(size=(5, 2))
-    glp = rng.normal(size=(5, 2))
-    own = rng.normal(size=5)
-    cross = rng.normal(size=5)
-    half = dual_output_grad(align, glp, own, cross, lam=0.3)
-    full = dual_output_grad(align, glp, own, cross, lam=0.3, exact=True)
-    assert np.allclose(full - align, 2.0 * (half - align), atol=1e-15)
-
-
-def test_dual_output_grad_shape_guard():
-    with pytest.raises(ValueError):
-        dual_output_grad(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2),
-                         np.zeros(3), lam=0.1)
-
-
-def test_dual_output_grad_matches_finite_differences():
-    """Exact-mode gradient equals the derivative of the composite
-
-        L(xhat) = mse(xhat, x) + lam * mean((own(xhat) + cross)^2)
-
-    where own(xhat) = logP(xhat) - logP(x) and cross is held fixed.
-    """
-    rng = np.random.default_rng(7)
-    lam = 0.05
-    checked = 0
-    for trial in range(20):
-        n, d = 5, 3
-        support = rng.uniform(size=(15, d))
-        kde = fit_kde(support)
-        x = rng.uniform(size=(n, d))
-        xhat = rng.uniform(size=(n, d))
-        cross = rng.normal(size=n)
-        logp_x = log_density_batch(kde, x)
-
-        def composite(xh):
-            _, gr = None, None
-            mse = float(((xh - x) ** 2).sum() / n)
-            own = log_density_batch(kde, xh) - logp_x
-            return mse + lam * float(((own + cross) ** 2).mean())
-
-        _, align = loss_eval("mse", xhat, x)
-        own = log_density_batch(kde, xhat) - logp_x
-        glp = grad_log_density_batch(kde, xhat)
-        got = dual_output_grad(align, glp, own, cross, lam, exact=True)
-        eps = 1e-6
-        for i in range(n):
-            for j in range(d):
-                up = xhat.copy()
-                up[i, j] += eps
-                dn = xhat.copy()
-                dn[i, j] -= eps
-                numeric = (composite(up) - composite(dn)) / (2 * eps)
-                assert abs(got[i, j] - numeric) <= 1e-4 * max(
-                    1.0, abs(numeric))
-                checked += 1
-    assert checked == 20 * 5 * 3
+def test_exact_duality_grad_doubles_the_rounds_duality_term(keypairs,
+                                                             monkeypatch):
+    half = _round_output_grads(keypairs, monkeypatch)
+    full = _round_output_grads(keypairs, monkeypatch,
+                               exact_duality_grad=True)
+    for (g_half, align), (g_full, align_again) in zip(half, full):
+        assert np.array_equal(align, align_again)
+        duality = g_half - align
+        assert np.abs(duality).max() > 1e-6
+        assert np.allclose(g_full - align, 2.0 * duality, rtol=0.0,
+                           atol=1e-12)
 
 
 # -- the wire protocol ---------------------------------------------------------------
@@ -302,22 +263,6 @@ def test_model_pair_width_guard():
         DualModelPair(f, g_bad)
     g_good = init_mlp([2, 3], ["identity"], r)
     DualModelPair(f, g_good)
-
-
-def test_audit_shadow_only_under_unsafe_hub(keypairs):
-    state_a, state_b = make_states(keypairs)
-    hub = Hub()
-    res = run_dual_round(state_a, state_b, list(range(6)), hub,
-                         random.Random(9))
-    assert res.record.shadow == {}
-    hub.close()
-
-    state_a, state_b = make_states(keypairs)
-    hub = Hub(unsafe_audit=True)
-    res = run_dual_round(state_a, state_b, list(range(6)), hub,
-                         random.Random(9))
-    assert len(res.record.shadow) == 4  # both residuals, both cross terms
-    hub.close()
 
 
 # -- per-run log P(x) table ---------------------------------------------------

@@ -2,13 +2,20 @@
 
 import hashlib
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mpdl.data import PartyDataset
+from mpdl.density import fit_kde
+from mpdl.dual import DualPartyState, run_dual_round
+from mpdl.nn import init_mlp
 from mpdl.orchestrator import (MpdlConfig, inference_mae, mpdl_train,
                                predict_unlabeled, prepare_experiment,
-                               split_predict)
+                               split_predict, train_dual_generators)
+from mpdl.paillier import keygen
 from mpdl.synthetic import linear_task
 from mpdl.transport import ACTORS, Hub, MessageKind, encode_message
 
@@ -175,6 +182,74 @@ def test_transcript_records_protocol_traffic(world):
     assert MessageKind.DeltaError in kinds
     assert MessageKind.Control in kinds        # labels to C
 
+
+
+# -- the dual-training loop ------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def keypairs():
+    rng = random.Random(77)
+    return keygen(512, rng), keygen(512, rng)
+
+
+def _dual_states(keypairs, n=13):
+    keys_a, keys_b = keypairs
+    rng = np.random.default_rng(41)
+    x_a, x_b = rng.uniform(size=(n, 3)), rng.uniform(size=(n, 2))
+    ids = tuple(f"id{k}" for k in range(n))
+    state_a = DualPartyState("A", PartyDataset(ids, x_a), fit_kde(x_a),
+                             init_mlp([3, 4, 2], ["relu", "identity"], rng),
+                             keys_a, keys_b.public, lam=0.05)
+    state_b = DualPartyState("B", PartyDataset(ids, x_b), fit_kde(x_b),
+                             init_mlp([2, 4, 3], ["relu", "identity"], rng),
+                             keys_b, keys_a.public, lam=0.05)
+    return state_a, state_b, list(ids)
+
+
+def test_train_dual_generators_tags_each_round(keypairs):
+    state_a, state_b, ids = _dual_states(keypairs)
+    hub = Hub()
+    try:
+        next_tag = train_dual_generators(
+            state_a, state_b, ids, hub, 3, 4, np.random.default_rng(1),
+            random.Random(2), 5, use_encryption=False)
+        tags = Counter(m.batch_tag for m in hub.transcript)
+    finally:
+        hub.close()
+    assert next_tag == 5 + 3 * math.ceil(13 / 4)
+    assert tags == {tag: 8 for tag in range(5, next_tag)}
+
+
+def test_train_dual_generators_matches_an_inline_loop(keypairs):
+    settings = dict(use_encryption=False, exact_duality_grad=True,
+                    residual_clip=3.0, grad_clip=0.5)
+    state_a, state_b, ids = _dual_states(keypairs)
+    hub = Hub()
+    try:
+        train_dual_generators(state_a, state_b, ids, hub, 2, 5,
+                              np.random.default_rng(3), random.Random(4),
+                              **settings)
+    finally:
+        hub.close()
+
+    ref_a, ref_b, _ = _dual_states(keypairs)
+    order_rng, protocol_rng, tag = np.random.default_rng(3), \
+        random.Random(4), 0
+    hub = Hub()
+    try:
+        for _ in range(2):
+            order = order_rng.permutation(len(ids))
+            for start in range(0, len(ids), 5):
+                batch = [ids[k] for k in order[start:start + 5]]
+                run_dual_round(ref_a, ref_b, batch, hub, protocol_rng,
+                               round_tag=tag, **settings)
+                tag += 1
+    finally:
+        hub.close()
+    for got, want in ((state_a, ref_a), (state_b, ref_b)):
+        for lg, lw in zip(got.model.layers, want.model.layers):
+            assert np.array_equal(lg.weights, lw.weights)
+            assert np.array_equal(lg.bias, lw.bias)
 
 
 # sha256 over every frame of one seeded run, in send order: a refactor of

@@ -1,6 +1,5 @@
 """Laplace mechanism: sensitivity bounds, distribution shape, one-shot use."""
 
-import csv
 import math
 
 import numpy as np
@@ -8,8 +7,7 @@ import pytest
 import scipy.stats
 
 from mpdl.privacy import (DpConfig, OneShotPerturber, effective_scale,
-                          laplace_sample, perturb_dataset, sensitivity,
-                          write_noise_audit)
+                          laplace_sample, perturb_dataset, sensitivity)
 
 
 def test_sensitivity_per_layer_example():
@@ -156,20 +154,3 @@ def test_one_shot_cache_shape_conflict():
     shot.perturb("d", np.zeros((4, 2)))
     with pytest.raises(ValueError):
         shot.perturb("d", np.zeros((5, 2)))
-
-
-def test_noise_audit_csv_round_trips(tmp_path):
-    cfg = DpConfig(epsilon=2.0, h0_width=2, sample_count=3,
-                   sensitivity_mode="per_neuron")
-    out = perturb_dataset(np.full((3, 2), 0.5), cfg,
-                          np.random.default_rng(11), ids=[10, 20, 30])
-    path = tmp_path / "audit.csv"
-    write_noise_audit(out, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["sample_id", "feature_index", "noise"]
-    assert len(rows) == 1 + 3 * 2
-    for row in rows[1:]:
-        sample_id, col, noise = int(row[0]), int(row[1]), float(row[2])
-        i = out.ids.index(sample_id)
-        assert noise == out.noise[i, col]  # repr() round-trip is exact
