@@ -102,6 +102,71 @@ def test_exact_duality_grad_doubles_the_rounds_duality_term(keypairs,
                            atol=1e-12)
 
 
+def test_dual_output_grad_matches_finite_differences(keypairs, monkeypatch):
+    """Exact-mode output gradient of each generator equals the derivative of
+
+        L(xhat) = mse(xhat, x) + lam * mean(r(xhat)^2)
+
+    where r is the round's residual and the partner's part of r is held
+    fixed.
+    """
+    seen = {}
+
+    def capture(model, cache, out_grad):
+        seen[id(model)] = out_grad
+        return backprop_from_output_grad(model, cache, out_grad)
+
+    monkeypatch.setattr(mpdl.dual, "backprop_from_output_grad", capture)
+    eps = 1e-6
+    checked = 0
+    for trial in range(20):
+        state_a, state_b = make_states(keypairs, lam=0.05,
+                                       init_seed=700 + trial,
+                                       data_seed=800 + trial)
+        batch = list(range(5))
+        lam = state_a.lam
+        x_a = state_a.store.rows(batch)
+        x_b = state_b.store.rows(batch)
+        xhat_b = mlp_forward(state_a.model, x_a)[0]
+        xhat_a = mlp_forward(state_b.model, x_b)[0]
+        logp_a = log_density_batch(state_a.kde, x_a)
+        logp_b = log_density_batch(state_b.kde, x_b)
+        # r = logP_A(x_A) - logP_A(xhat_A) + logP_B(xhat_B) - logP_B(x_B)
+        a_part = logp_a - log_density_batch(state_a.kde, xhat_a)
+        b_part = log_density_batch(state_b.kde, xhat_b) - logp_b
+
+        def composite_b(pt):
+            mse = float(((pt - x_b) ** 2).sum() / len(batch))
+            r = a_part + log_density_batch(state_b.kde, pt) - logp_b
+            return mse + lam * float((r * r).mean())
+
+        def composite_a(pt):
+            mse = float(((pt - x_a) ** 2).sum() / len(batch))
+            r = logp_a - log_density_batch(state_a.kde, pt) + b_part
+            return mse + lam * float((r * r).mean())
+
+        models = (state_a.model, state_b.model)
+        hub = Hub()
+        run_dual_round(state_a, state_b, batch, hub, random.Random(trial),
+                       use_encryption=False, exact_duality_grad=True,
+                       residual_clip=1e9, grad_clip=1e9)
+        hub.close()
+        for model, xhat, composite in ((models[0], xhat_b, composite_b),
+                                       (models[1], xhat_a, composite_a)):
+            got = seen[id(model)]
+            assert got.shape == xhat.shape
+            for i, j in np.ndindex(xhat.shape):
+                up = xhat.copy()
+                up[i, j] += eps
+                dn = xhat.copy()
+                dn[i, j] -= eps
+                numeric = (composite(up) - composite(dn)) / (2 * eps)
+                assert abs(got[i, j] - numeric) <= 1e-4 * max(
+                    1.0, abs(numeric))
+                checked += 1
+    assert checked == 20 * 5 * (2 + 3)
+
+
 # -- the wire protocol ---------------------------------------------------------------
 
 def test_round_is_exactly_eight_messages(keypairs):
