@@ -3,10 +3,13 @@
 Four subcommands: ``mpdl`` (accuracy table over co-occurrence
 fractions), ``privacy-sweep`` (accuracy and inference error against the
 privacy budget), ``graph`` (link-prediction AUC over co-occurrence
-fractions) and ``selftest`` (built-in oracle checks).  Settings resolve
+fractions) and ``selftest`` (built-in oracle checks).  Each setting is
+declared once, in ``MpdlConfig`` or ``DEFAULTS``, and the type of its
+default picks its parser; ``SETTINGS`` names the settings each
+subcommand reads, the only ones it takes as flags.  Settings resolve
 as CLI flags over config-file entries over built-in defaults; the seed
 additionally falls back to the MPDL_SEED environment variable.  Every
-output CSV embeds the resolved configuration and a content hash of the
+output CSV embeds the resolved settings and a content hash of the
 input files, and identical settings produce byte-identical files.
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid configuration,
@@ -16,6 +19,7 @@ Exit codes: 0 success, 1 selftest failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,39 +30,35 @@ import numpy as np
 
 from .orchestrator import MpdlConfig, mpdl_train, prepare_experiment, \
     train_dual_generators
+from .privacy import SENSITIVITY_MODES
 from .transport import ProtocolError
 
-DEFAULTS = {
-    "gamma": 0.1,
-    "gammas": "0.05,0.1,0.2,0.4,0.6,0.8",
-    "epsilon": 0.5,
-    "epsilons": "0.1,0.5,1,2,inf",
-    "sensitivity_mode": "per_neuron",
-    "lam": 0.01,
-    "lr": 0.1,
-    "folds": 5,
-    "threshold": 0.15,
-    "max_iters": 2,
-    "dual_epochs": 10,
-    "central_epochs": 20,
-    "batch_size": 32,
-    "test_fraction": 0.1,
-    "key_bits": 512,
-    "repeats": 3,
-    "seed": 0,
-    "holdout_fraction": 0.2,
-    "synthetic_nodes": 150,
-    "id_column": None,
-    "label_column": "label",
-    "no_encryption": False,
-    "exact_duality_grad": False,
-}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(MpdlConfig)}
 
-_FLOAT_KEYS = {"gamma", "epsilon", "lam", "lr", "threshold", "test_fraction",
-               "holdout_fraction"}
-_INT_KEYS = {"folds", "max_iters", "dual_epochs", "central_epochs",
-             "batch_size", "key_bits", "repeats", "seed", "synthetic_nodes"}
-_BOOL_KEYS = {"no_encryption", "exact_duality_grad"}
+# every MpdlConfig default (the CLI spells use_encryption as
+# no_encryption), then the settings only the front end reads
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(MpdlConfig)
+            if f.default is not dataclasses.MISSING
+            and f.name != "use_encryption"}
+DEFAULTS.update(gamma=0.1, gammas="0.05,0.1,0.2,0.4,0.6,0.8",
+                epsilons="0.1,0.5,1,2,inf", test_fraction=0.1, repeats=3,
+                holdout_fraction=0.2, synthetic_nodes=150, id_column=None,
+                label_column="label", no_encryption=False)
+
+_TRAINING = ("seed", "repeats", "id_column", "label_column", "test_fraction",
+             "sensitivity_mode", "lam", "lr", "folds", "threshold",
+             "max_iters", "dual_epochs", "central_epochs", "batch_size",
+             "key_bits", "no_encryption", "exact_duality_grad")
+
+# the settings each subcommand reads: the only ones it takes as flags and
+# records in its CSV's "# config:" line
+SETTINGS = {
+    "mpdl": ("gammas", "epsilon") + _TRAINING,
+    "privacy-sweep": ("gamma", "epsilons") + _TRAINING,
+    "graph": ("gammas", "seed", "repeats", "id_column", "synthetic_nodes",
+              "holdout_fraction", "lam", "lr", "dual_epochs", "batch_size",
+              "key_bits", "no_encryption", "exact_duality_grad"),
+}
 
 
 def content_hash(path: str) -> str:
@@ -78,6 +78,25 @@ def parse_list(text: str) -> list[float]:
     return [parse_float(part) for part in text.split(",") if part.strip()]
 
 
+def parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parser(key: str):
+    """The parser picked by the type of ``key``'s default."""
+    default = DEFAULTS[key]
+    if isinstance(default, bool):
+        return parse_bool
+    if isinstance(default, int):
+        return int
+    return parse_float if isinstance(default, float) else str
+
+
 def read_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment."""
     out = {}
@@ -92,46 +111,40 @@ def read_config_file(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _FLOAT_KEYS:
-                out[key] = parse_float(value)
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _BOOL_KEYS:
-                out[key] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                out[key] = value
+            try:
+                out[key] = _parser(key)(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """defaults < MPDL_SEED env < config file < explicit CLI flags."""
-    settings = dict(DEFAULTS)
+    """defaults < MPDL_SEED env < config file < explicit CLI flags, over
+    the settings that ``args.command`` reads."""
+    keys = SETTINGS[args.command]
+    settings = {key: DEFAULTS[key] for key in keys}
     env_seed = os.environ.get("MPDL_SEED")
     if env_seed is not None:
         settings["seed"] = int(env_seed)
-    if getattr(args, "config", None):
-        settings.update(read_config_file(args.config))
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+    if args.config:
+        settings.update((key, value) for key, value
+                        in read_config_file(args.config).items()
+                        if key in settings)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
+    if settings["repeats"] < 1:
+        raise ValueError("repeats must be at least 1")
     return settings
 
 
 def build_config(settings: dict, gamma: float, epsilon: float,
                  seed: int) -> MpdlConfig:
-    return MpdlConfig(
-        gamma=gamma, epsilon=epsilon,
-        sensitivity_mode=settings["sensitivity_mode"],
-        lam=settings["lam"], lr=settings["lr"], folds=settings["folds"],
-        threshold=settings["threshold"], max_iters=settings["max_iters"],
-        dual_epochs=settings["dual_epochs"],
-        central_epochs=settings["central_epochs"],
-        batch_size=settings["batch_size"],
-        test_fraction=settings["test_fraction"],
-        key_bits=settings["key_bits"],
-        use_encryption=not settings["no_encryption"],
-        exact_duality_grad=settings["exact_duality_grad"], seed=seed)
+    given = {k: v for k, v in settings.items() if k in _CONFIG_FIELDS}
+    given.update(gamma=gamma, epsilon=epsilon, seed=seed,
+                 use_encryption=not settings["no_encryption"])
+    return MpdlConfig(**given)
 
 
 def write_csv(path: str, settings: dict, input_hash: str, header: list[str],
@@ -177,7 +190,7 @@ def _run_batch(ds, settings: dict, gamma: float, epsilon: float):
 def cmd_mpdl(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     ds = load_dataset(settings, args.dataset)
-    if getattr(args, "gamma", None) is not None:
+    if args.gamma is not None:
         settings["gammas"] = repr(args.gamma)
     rows = []
     for gamma in parse_list(settings["gammas"]):
@@ -315,60 +328,38 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpdl", description="multi-party dual learning simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, dataset=True):
-        if dataset:
+    commands = {
+        "mpdl": (cmd_mpdl, "accuracy table over gammas"),
+        "privacy-sweep": (cmd_privacy_sweep,
+                          "accuracy and inference MAE per epsilon"),
+        "graph": (cmd_graph, "link prediction AUC over gammas"),
+    }
+    subparsers = {}
+    for name, (func, help_text) in commands.items():
+        # no abbreviations: privacy-sweep's --epsilon must not pass for
+        # --epsilons
+        p = subparsers[name] = sub.add_parser(name, help=help_text,
+                                              allow_abbrev=False)
+        p.set_defaults(func=func)
+        if name != "graph":
             p.add_argument("--dataset", required=True,
                            help="headered CSV with features and a label")
-            p.add_argument("--id-column", dest="id_column")
-            p.add_argument("--label-column", dest="label_column")
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--repeats", type=int)
-        p.add_argument("--epsilon", type=parse_float)
-        p.add_argument("--sensitivity-mode", dest="sensitivity_mode",
-                       choices=("per_layer", "per_neuron"))
-        p.add_argument("--lam", type=float)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--threshold", type=float)
-        p.add_argument("--max-iters", dest="max_iters", type=int)
-        p.add_argument("--dual-epochs", dest="dual_epochs", type=int)
-        p.add_argument("--central-epochs", dest="central_epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--test-fraction", dest="test_fraction", type=float)
-        p.add_argument("--key-bits", dest="key_bits", type=int)
-        p.add_argument("--no-encryption", dest="no_encryption",
-                       action="store_const", const=True)
-        p.add_argument("--exact-duality-grad", dest="exact_duality_grad",
-                       action="store_const", const=True)
-
-    p_mpdl = sub.add_parser("mpdl", help="accuracy table over gammas")
-    add_common(p_mpdl)
-    p_mpdl.add_argument("--gammas", help="comma-separated grid")
-    p_mpdl.add_argument("--gamma", type=float,
-                        help="single value; overrides --gammas")
-    p_mpdl.set_defaults(func=cmd_mpdl)
-
-    p_sweep = sub.add_parser("privacy-sweep",
-                             help="accuracy and inference MAE per epsilon")
-    add_common(p_sweep)
-    p_sweep.add_argument("--gamma", type=float)
-    p_sweep.add_argument("--epsilons")
-    p_sweep.set_defaults(func=cmd_privacy_sweep)
-
-    p_graph = sub.add_parser("graph", help="link prediction AUC over gammas")
-    add_common(p_graph, dataset=False)
-    p_graph.add_argument("--edges", help="edge list: one 'src dst' per line")
-    p_graph.add_argument("--features", help="node feature CSV")
-    p_graph.add_argument("--id-column", dest="id_column")
-    p_graph.add_argument("--gammas")
-    p_graph.add_argument("--holdout-fraction", dest="holdout_fraction",
-                         type=float)
-    p_graph.add_argument("--synthetic-nodes", dest="synthetic_nodes",
-                         type=int)
-    p_graph.set_defaults(func=cmd_graph)
+        for key in SETTINGS[name]:
+            flag = "--" + key.replace("_", "-")
+            if isinstance(DEFAULTS[key], bool):
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=_parser(key),
+                               help=f"default: {DEFAULTS[key]}",
+                               choices=SENSITIVITY_MODES
+                               if key == "sensitivity_mode" else None)
+    subparsers["mpdl"].add_argument("--gamma", type=float,
+                                    help="single value; overrides --gammas")
+    subparsers["graph"].add_argument(
+        "--edges", help="edge list: one 'src dst' per line")
+    subparsers["graph"].add_argument("--features", help="node feature CSV")
 
     p_self = sub.add_parser("selftest", help="run the built-in oracle checks")
     p_self.set_defaults(func=cmd_selftest)

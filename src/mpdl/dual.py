@@ -141,13 +141,12 @@ class _PaillierCodec:
 
     kind = MessageKind.CipherBlock
 
-    def __init__(self, rng, scale: int):
+    def __init__(self, rng):
         self.rng = rng
-        self.scale = scale
 
     def seal(self, keys: KeyPair, resid: np.ndarray) -> bytes:
         """Encrypt under the sealer's own key, by CRT via its secret half."""
-        cv = paillier.encrypt_vector(keys.secret, resid, self.rng, self.scale)
+        cv = paillier.encrypt_vector(keys.secret, resid, self.rng)
         return pack_ciphers(cv.key_id, cv.scale, len(resid), 1,
                             cv.ciphertexts)
 
@@ -158,9 +157,9 @@ class _PaillierCodec:
         cts = []
         for c, row in zip(neg.ciphertexts, mult):
             cts.extend(paillier.dual_scalar_product(
-                pk, c, neg.scale, row, self.scale).ciphertexts)
-        return pack_ciphers(pk.key_id, neg.scale * self.scale, *mult.shape,
-                            cts)
+                pk, c, neg.scale, row).ciphertexts)
+        return pack_ciphers(pk.key_id, neg.scale * paillier.DEFAULT_SCALE,
+                            *mult.shape, cts)
 
     def open(self, sk: SecretKey, payload: bytes) -> np.ndarray:
         key_id, scale, rows, cols, cts = unpack_ciphers(payload)
@@ -230,7 +229,6 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
                    batch_ids, hub: Hub, rng,
                    use_encryption: bool = True,
                    exact_duality_grad: bool = False,
-                   cipher_scale: int = paillier.DEFAULT_SCALE,
                    round_tag: int | None = None,
                    residual_clip: float = 100.0,
                    grad_clip: float = 1.0) -> DualRoundResult:
@@ -258,8 +256,7 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     factor = 2.0 if exact_duality_grad else 1.0
     if not residual_clip > 0.0 or not grad_clip > 0.0:
         raise ValueError("residual_clip and grad_clip must be positive")
-    codec = (_PaillierCodec(rng, cipher_scale) if use_encryption
-             else _ShadowCodec())
+    codec = _PaillierCodec(rng) if use_encryption else _ShadowCodec()
     halves = {st.name: _RoundHalf(st, batch_ids, factor, residual_clip)
               for st in (state_a, state_b)}
 

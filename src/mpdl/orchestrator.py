@@ -59,22 +59,15 @@ class MpdlConfig:
     dual_epochs: int = 10
     central_epochs: int = 20
     batch_size: int = 32
-    test_fraction: float = 0.1
     key_bits: int = 512
-    cipher_scale: int = 2 ** 40
     use_encryption: bool = True
     exact_duality_grad: bool = False
-    residual_clip: float = 100.0
-    grad_clip: float = 1.0
-    hidden: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.folds < self.max_iters:
             raise ValueError("folds must be >= max_iters: iterations draw "
                              "validation folds without replacement")
-        if not self.residual_clip > 0.0 or not self.grad_clip > 0.0:
-            raise ValueError("residual_clip and grad_clip must be positive")
         if self.max_iters < 1 or self.dual_epochs < 0 or \
                 self.central_epochs < 1:
             raise ValueError("iteration counts must be positive")
@@ -264,7 +257,7 @@ def train_dual_generators(state_a: DualPartyState, state_b: DualPartyState,
     Each epoch draws one permutation of ``ids`` from ``order_rng`` and
     runs one ``run_dual_round`` per consecutive ``batch_size`` slice of
     it, with ``protocol_rng`` and ``round_settings`` (the round's
-    encryption, gradient, scale and clip keywords).  Rounds are tagged
+    encryption, gradient and clip keywords).  Rounds are tagged
     ``first_tag``, ``first_tag + 1``, ...; the next free tag is returned.
     """
     tag = first_tag
@@ -307,7 +300,7 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
     train_b = list(split.co_occurrence) + list(split.b_only)
     d_a = party_a.features.shape[1]
     d_b = party_b.features.shape[1]
-    hidden = config.hidden or dual_hidden_width(d_a + d_b, data.n_classes)
+    hidden = dual_hidden_width(d_a + d_b, data.n_classes)
 
     # one-shot feature perturbation, then KDEs over the perturbed
     # training partitions
@@ -384,9 +377,7 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
             state_a, state_b, common, hub, config.dual_epochs,
             config.batch_size, order_rng, protocol_rng, round_tag,
             use_encryption=config.use_encryption,
-            exact_duality_grad=config.exact_duality_grad,
-            cipher_scale=config.cipher_scale,
-            residual_clip=config.residual_clip, grad_clip=config.grad_clip)
+            exact_duality_grad=config.exact_duality_grad)
 
         # B completes its own-only rows with inferred A-side features
         b_only = list(split.b_only)

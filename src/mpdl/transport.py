@@ -193,6 +193,8 @@ def unpack_tokens(payload: bytes) -> tuple[bytes, ...]:
             raise ProtocolError("token payload truncated")
         (length,) = struct.unpack_from("<I", payload, offset)
         offset += 4
+        if offset + length > len(payload):
+            raise ProtocolError("token payload truncated")
         out.append(payload[offset:offset + length])
         offset += length
     if offset != len(payload):

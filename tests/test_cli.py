@@ -1,5 +1,6 @@
 """Command line behaviour: precedence, determinism, exit codes, CSV shape."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from mpdl.cli import (DEFAULTS, content_hash, main, make_parser, parse_float,
                       parse_list, read_config_file, resolve_settings)
+from mpdl.orchestrator import MpdlConfig
 from mpdl.synthetic import linear_task
 from mpdl.transport import ProtocolError
 
@@ -93,6 +95,70 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg.write_text("unsafe_audit = 1\n")
     with pytest.raises(ValueError):
         read_config_file(str(cfg))
+
+
+def test_config_file_rejects_a_misspelt_boolean(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("seed = 1\nno_encryption = ture\n")
+    with pytest.raises(ValueError, match=r"typo\.cfg:2: "):
+        read_config_file(str(cfg))
+    for word, want in (("YES", True), ("On", True), ("0", False),
+                       ("off", False), ("False", False)):
+        cfg.write_text(f"exact_duality_grad = {word}\n")
+        assert read_config_file(str(cfg)) == {"exact_duality_grad": want}
+
+
+def test_defaults_take_every_mpdl_config_default():
+    for f in dataclasses.fields(MpdlConfig):
+        if f.default is dataclasses.MISSING or f.name == "use_encryption":
+            continue
+        assert f.name in DEFAULTS
+        assert DEFAULTS[f.name] == f.default
+    assert "use_encryption" not in DEFAULTS
+
+
+@pytest.mark.parametrize("command, unread", [
+    ("mpdl", {"epsilons", "gamma", "holdout_fraction", "synthetic_nodes"}),
+    ("privacy-sweep", {"epsilon", "gammas", "holdout_fraction",
+                       "synthetic_nodes"}),
+    ("graph", {"epsilon", "sensitivity_mode", "folds", "threshold",
+               "max_iters", "central_epochs", "test_fraction", "epsilons",
+               "gamma", "label_column"}),
+])
+def test_each_subcommand_resolves_only_what_it_reads(tmp_path, command,
+                                                     unread):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n"
+                           for key, value in DEFAULTS.items()
+                           if value is not None))
+    argv = [command, "--out", "o.csv", "--config", str(cfg)]
+    if command != "graph":
+        argv += ["--dataset", "d.csv"]
+    settings = resolve_settings(make_parser().parse_args(argv))
+    assert set(DEFAULTS) - set(settings) == unread
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "0.1"), ("--sensitivity-mode", "per_layer"),
+    ("--folds", "2"), ("--threshold", "0.1"), ("--max-iters", "1"),
+    ("--central-epochs", "1"), ("--test-fraction", "0.2")])
+def test_graph_rejects_settings_it_ignores(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--out", str(tmp_path / "g.csv"), "--synthetic-nodes",
+              "50", "--gammas", "0.4", "--repeats", "1", "--dual-epochs",
+              "1", "--no-encryption", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_privacy_sweep_rejects_epsilon(dataset_csv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["privacy-sweep", "--dataset", dataset_csv, "--id-column", "id",
+              "--out", str(tmp_path / "s.csv"), "--epsilon", "0.1",
+              "--repeats", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 def test_precedence_defaults_env_file_flags(tmp_path, monkeypatch):
@@ -246,14 +312,11 @@ def test_graph_synthetic_csv(tmp_path):
 # exact bytes of a seeded multi-epoch graph run: its own epoch loop over
 # run_dual_round repeats the same rows, and no golden digest covers it
 GRAPH_MULTI_EPOCH_CSV = (
-    '# config: {"batch_size": 32, "central_epochs": 20, "dual_epochs": 3, '
-    '"epsilon": 0.5, "epsilons": "0.1,0.5,1,2,inf", '
-    '"exact_duality_grad": false, "folds": 5, "gamma": 0.1, '
-    '"gammas": "0.4", "holdout_fraction": 0.2, "id_column": null, '
-    '"key_bits": 512, "label_column": "label", "lam": 0.01, "lr": 0.1, '
-    '"max_iters": 2, "no_encryption": true, "repeats": 1, "seed": 0, '
-    '"sensitivity_mode": "per_neuron", "synthetic_nodes": 50, '
-    '"test_fraction": 0.1, "threshold": 0.15}\n'
+    '# config: {"batch_size": 32, "dual_epochs": 3, '
+    '"exact_duality_grad": false, "gammas": "0.4", "holdout_fraction": 0.2, '
+    '"id_column": null, "key_bits": 512, "lam": 0.01, "lr": 0.1, '
+    '"no_encryption": true, "repeats": 1, "seed": 0, '
+    '"synthetic_nodes": 50}\n'
     "# inputs: synthetic\n"
     "gamma,auc_mean,auc_std,repeats\n"
     "0.4,0.84,0.0,1\n").encode()
@@ -264,6 +327,16 @@ def test_graph_multi_epoch_csv_bytes(tmp_path):
     assert main(["graph", "--out", str(out), "--synthetic-nodes", "50",
                  "--gammas", "0.4", "--repeats", "1", "--dual-epochs", "3",
                  "--no-encryption"]) == 0
+    assert out.read_bytes() == GRAPH_MULTI_EPOCH_CSV
+
+
+def test_graph_config_file_setting_it_ignores_is_not_recorded(tmp_path):
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text("epsilon = 0.1\ncentral_epochs = 1\n")
+    out = tmp_path / "graph.csv"
+    assert main(["graph", "--out", str(out), "--synthetic-nodes", "50",
+                 "--gammas", "0.4", "--repeats", "1", "--dual-epochs", "3",
+                 "--no-encryption", "--config", str(cfg)]) == 0
     assert out.read_bytes() == GRAPH_MULTI_EPOCH_CSV
 
 
@@ -348,6 +421,35 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mpdl", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["mpdl", "privacy-sweep", "graph"])
+def test_zero_repeats_exits_2(dataset_csv, tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [command, "--out", str(out), "--repeats", "0", "--dual-epochs",
+            "1", "--no-encryption"]
+    if command == "graph":
+        argv += ["--synthetic-nodes", "50", "--gammas", "0.4"]
+    else:
+        argv += ["--dataset", dataset_csv, "--id-column", "id"]
+    assert main(argv) == 2
+    assert "repeats must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_misspelt_config_boolean_exits_2(dataset_csv, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("no_encryption = ture\n")
+    out = tmp_path / "out.csv"
+    assert main(["mpdl", "--dataset", dataset_csv, "--id-column", "id",
+                 "--out", str(out), "--config", str(cfg)]) == 2
+    assert "typo.cfg:1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    assert "9/9 checks passed" in capsys.readouterr().out
 
 
 def test_missing_dataset_exits_4(tmp_path):

@@ -71,8 +71,6 @@ def test_config_validation():
         MpdlConfig(gamma=0.3, central_epochs=0)
     with pytest.raises(ValueError):
         MpdlConfig(gamma=0.3, batch_size=0)
-    with pytest.raises(ValueError):
-        MpdlConfig(gamma=0.3, grad_clip=0.0)
 
 
 def test_prepare_experiment_structure(world):

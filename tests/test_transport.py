@@ -136,6 +136,13 @@ def test_token_payload_round_trip():
         unpack_tokens(b"\x01")
 
 
+def test_token_payload_cut_short_reports_truncation():
+    full = pack_tokens((b"abc", b"\xff" * 40))
+    for cut in range(4, len(full)):  # inside a length field or a token
+        with pytest.raises(ProtocolError, match="token payload truncated"):
+            unpack_tokens(full[:cut])
+
+
 def test_json_payload_round_trip():
     obj = {"epoch": 3, "loss": 0.5, "tags": ["a", "b"]}
     assert unpack_json(pack_json(obj)) == obj
