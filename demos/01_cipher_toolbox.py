@@ -41,7 +41,7 @@ def main() -> None:
     print("== blinded id alignment ==")
     ids_a = [f"patient-{i:03d}" for i in range(0, 60)]
     ids_b = [f"patient-{i:03d}" for i in range(40, 100)]
-    hub = Hub(actors=("A", "B"))
+    hub = Hub()
     common = blinded_intersection(ids_a, ids_b, np.random.default_rng(7), hub)
     expected = sorted(set(ids_a) & set(ids_b), key=repr)
     print(f"A holds {len(ids_a)} ids, B holds {len(ids_b)}; both learn the "

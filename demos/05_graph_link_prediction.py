@@ -60,14 +60,17 @@ def main() -> None:
 
     def score(generators: DualModelPair, label: str) -> None:
         aucs = [link_prediction_auc(generators, adj, feat_a, feat_b, has_a,
-                                    has_b, 0.3, np.random.default_rng(s))
+                                    has_b, 0.3, np.random.default_rng(s),
+                                    auc_hub)
                 for s in range(5)]
         print(f"  {label:<22} AUC {np.mean(aucs):.3f} "
               f"(5 holdout draws: {', '.join(f'{a:.2f}' for a in aucs)})")
 
     print("\nheld-out edge recovery, scores from the masked product:")
+    auc_hub = Hub()
     score(untrained, "fresh generators")
     score(pair, "after 60 dual rounds")
+    auc_hub.close()
     print("\nthe adjacency holder ships only confusion-masked rows, and the")
     print("feature matrix it multiplies against is the dual-completed one --")
     print("missing rows were inferred, never collected.")

@@ -305,13 +305,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
                     settings["batch_size"], rng, Random(seed + 1),
                     use_encryption=not settings["no_encryption"],
                     exact_duality_grad=settings["exact_duality_grad"])
+                pair = DualModelPair(state_a.model, state_b.model)
+                aucs.append(link_prediction_auc(
+                    pair, adj, fsplit.party_a.features,
+                    fsplit.party_b.features, has_a, has_b,
+                    settings["holdout_fraction"], rng, hub))
             finally:
                 hub.close()
-            pair = DualModelPair(state_a.model, state_b.model)
-            auc = link_prediction_auc(
-                pair, adj, fsplit.party_a.features, fsplit.party_b.features,
-                has_a, has_b, settings["holdout_fraction"], rng)
-            aucs.append(auc)
         rows.append([gamma, float(np.mean(aucs)), float(np.std(aucs)),
                      settings["repeats"]])
     write_csv(args.out, settings, input_hash,

@@ -284,17 +284,17 @@ def _xor(token: bytes, mask: bytes) -> bytes:
             ^ int.from_bytes(mask, "big")).to_bytes(len(token), "big")
 
 
-def blinded_intersection(ids_a, ids_b, rng: np.random.Generator,
-                         hub: Hub | None = None, digest_bytes: int = 32,
+def blinded_intersection(ids_a, ids_b, rng: np.random.Generator, hub: Hub,
+                         digest_bytes: int = 32,
                          max_attempts: int = 3) -> tuple:
     """Find the co-occurring ids without exchanging raw id lists.
 
-    Four messages: B sends a keyed-hash session key; A returns its
-    hashed ids under a private mask; B double-masks A's tokens with a
-    fresh mask, masks its own hashed ids the same way and returns both
-    sets; A strips its own mask, intersects, and sends the matching
-    masked tokens back for B to resolve.  Token collisions abort the
-    round and a fresh salt is drawn.
+    Four messages on the caller's hub: B sends a keyed-hash session key;
+    A returns its hashed ids under a private mask; B double-masks A's
+    tokens with a fresh mask, masks its own hashed ids the same way and
+    returns both sets; A strips its own mask, intersects, and sends the
+    matching masked tokens back for B to resolve.  Token collisions
+    abort the round and a fresh salt is drawn.
 
     Returns the common ids sorted by repr.  Both parties learn exactly
     the intersection; the transcript never carries a raw id.
@@ -304,19 +304,12 @@ def blinded_intersection(ids_a, ids_b, rng: np.random.Generator,
     ids_a, ids_b = list(ids_a), list(ids_b)
     if len(set(ids_a)) != len(ids_a) or len(set(ids_b)) != len(ids_b):
         raise ValueError("party id lists must be unique")
-    own_hub = hub is None
-    if own_hub:
-        hub = Hub(actors=("A", "B"))
-    try:
-        for attempt in range(max_attempts):
-            try:
-                return _blinded_round(ids_a, ids_b, rng, hub, digest_bytes)
-            except AlignmentCollisionError:
-                if attempt == max_attempts - 1:
-                    raise
-    finally:
-        if own_hub:
-            hub.close()
+    for attempt in range(max_attempts):
+        try:
+            return _blinded_round(ids_a, ids_b, rng, hub, digest_bytes)
+        except AlignmentCollisionError:
+            if attempt == max_attempts - 1:
+                raise
 
 
 def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
@@ -324,10 +317,8 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
         return rng.bytes(nbytes)
 
     # message 1: B -> A, the session key for the keyed hash
-    session_key = draw(32)
-    hub.send("B", "A", MessageKind.BlindedIds, pack_tokens([session_key]))
-    session_key = unpack_tokens(
-        hub.recv("A", "B", MessageKind.BlindedIds).payload)[0]
+    session_key = unpack_tokens(hub.exchange(
+        "B", "A", MessageKind.BlindedIds, pack_tokens([draw(32)])).payload)[0]
 
     # message 2: A -> B, A's keyed-hashed ids under A's private mask
     mask_a = draw(digest_bytes)
@@ -335,10 +326,9 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
     hashed_a = [id_token(session_key, i, digest_bytes) for i in order_a]
     if len(set(hashed_a)) != len(hashed_a):
         raise AlignmentCollisionError("keyed hash collided inside A's set")
-    hub.send("A", "B", MessageKind.BlindedIds,
-             pack_tokens(_xor(t, mask_a) for t in hashed_a))
-    blinded_a = unpack_tokens(hub.recv("B", "A",
-                                       MessageKind.BlindedIds).payload)
+    blinded_a = unpack_tokens(hub.exchange(
+        "A", "B", MessageKind.BlindedIds,
+        pack_tokens(_xor(t, mask_a) for t in hashed_a)).payload)
 
     # message 3: B -> A, A's tokens double-masked plus B's masked tokens
     mask_b = draw(digest_bytes)
@@ -347,10 +337,9 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
         raise AlignmentCollisionError("keyed hash collided inside B's set")
     double_masked_a = [_xor(t, mask_b) for t in blinded_a]
     masked_b = sorted(_xor(t, mask_b) for t in hashed_b)
-    hub.send("B", "A", MessageKind.BlindedIds,
-             pack_tokens([*double_masked_a, *masked_b]))
-    received = unpack_tokens(hub.recv("A", "B",
-                                      MessageKind.BlindedIds).payload)
+    received = unpack_tokens(hub.exchange(
+        "B", "A", MessageKind.BlindedIds,
+        pack_tokens([*double_masked_a, *masked_b])).payload)
     returned_a = received[:len(order_a)]
     returned_b = set(received[len(order_a):])
 
@@ -361,9 +350,8 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
     common_tokens = [t for t in unmasked if t in returned_b]
     common_at_a = sorted(
         (i for i, t in zip(order_a, unmasked) if t in returned_b), key=repr)
-    hub.send("A", "B", MessageKind.BlindedIds, pack_tokens(common_tokens))
-    final_tokens = unpack_tokens(hub.recv("B", "A",
-                                          MessageKind.BlindedIds).payload)
+    final_tokens = unpack_tokens(hub.exchange(
+        "A", "B", MessageKind.BlindedIds, pack_tokens(common_tokens)).payload)
 
     # B strips its mask and resolves tokens back to its own ids
     resolved = []

@@ -32,8 +32,8 @@ from .density import KdeModel, grad_log_density_batch, log_density_batch
 from .nn import Mlp, backprop_from_output_grad, clip_global_norm, \
     loss_eval, mlp_forward, sgd_step
 from .paillier import CipherVector, KeyPair, PublicKey, SecretKey
-from .transport import Hub, MessageKind, ProtocolMessage, pack_ciphers, \
-    pack_matrix, unpack_ciphers, unpack_matrix
+from .transport import Hub, MessageKind, pack_ciphers, pack_matrix, \
+    unpack_ciphers, unpack_matrix
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,6 @@ def dual_loss(logp_xa, logp_xhat_a, logp_xhat_b, logp_xb) -> float:
         raise ValueError("log-density vectors must share one shape")
     r = arrays[0] - arrays[1] + arrays[2] - arrays[3]
     return float((r * r).mean())
-
-
-def _exchange(hub: Hub, sender: str, receiver: str, kind: MessageKind,
-              payload: bytes, tag) -> ProtocolMessage:
-    """Send one message and take delivery at the receiver."""
-    hub.send(sender, receiver, kind, payload, batch_tag=tag)
-    return hub.recv(receiver, sender, kind)
 
 
 class _PaillierCodec:
@@ -262,8 +255,8 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
 
     # (1-2) A -> B: xhat_B = f(x_A), then B -> A: xhat_A = g(x_B)
     for src, dst in (("A", "B"), ("B", "A")):
-        msg = _exchange(hub, src, dst, MessageKind.InferredBatch,
-                        pack_matrix(halves[src].out), round_tag)
+        msg = hub.exchange(src, dst, MessageKind.InferredBatch,
+                           pack_matrix(halves[src].out), round_tag)
         halves[dst].received_xhat = unpack_matrix(msg.payload)
 
     # (3-6) B -> A, then A -> B: the plaintext part of the gradient for
@@ -271,12 +264,12 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     # logP(xhat) - logP(x) under the sender's key
     for src, dst in (("B", "A"), ("A", "B")):
         plain, own_resid, halves[src].cross_mult = halves[src].local_terms()
-        msg = _exchange(hub, src, dst, MessageKind.GradTerm,
-                        pack_matrix(plain), round_tag)
+        msg = hub.exchange(src, dst, MessageKind.GradTerm,
+                           pack_matrix(plain), round_tag)
         halves[dst].plain_in = unpack_matrix(msg.payload)
-        msg = _exchange(hub, src, dst, codec.kind,
-                        codec.seal(halves[src].state.keys, own_resid),
-                        round_tag)
+        msg = hub.exchange(src, dst, codec.kind,
+                           codec.seal(halves[src].state.keys, own_resid),
+                           round_tag)
         halves[dst].partner_resid = msg.payload
 
     # (7-8) A -> B, then B -> A: the cross product for the receiver's
@@ -284,10 +277,11 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     # lam * grad logP(xhat) times [[logP(x) - logP(xhat)]] of the receiver
     for src, dst in (("A", "B"), ("B", "A")):
         sender = halves[src]
-        msg = _exchange(hub, src, dst, codec.kind,
-                        codec.cross(sender.state.partner_public,
-                                    sender.partner_resid, sender.cross_mult),
-                        round_tag)
+        msg = hub.exchange(src, dst, codec.kind,
+                           codec.cross(sender.state.partner_public,
+                                       sender.partner_resid,
+                                       sender.cross_mult),
+                           round_tag)
         halves[dst].cross_in = codec.open(halves[dst].state.keys.secret,
                                           msg.payload)
 

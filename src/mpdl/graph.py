@@ -49,15 +49,15 @@ def make_confusion(size: int, rng: np.random.Generator,
 
 
 def confusion_protocol(m_a, m_b, rng: np.random.Generator,
-                       hub: Hub | None = None) -> np.ndarray:
+                       hub: Hub) -> np.ndarray:
     """Compute M_A @ M_B without revealing either factor.
 
-    Three messages: B sends M_B masked by the confusion matrix, A
-    multiplies by its factor and returns the masked product, B strips
-    the mask.  The shared inner dimension must exceed M_A's row count;
-    otherwise the product has full rank relative to the unknowns and
-    the counterpart could solve for the hidden factor, so the protocol
-    aborts.
+    Two MatrixBlock messages on the caller's hub: B sends M_B masked by
+    the confusion matrix, A multiplies by its factor and returns the
+    masked product, and B strips the mask.  The shared inner dimension
+    must exceed M_A's row count; otherwise the product has full rank
+    relative to the unknowns and the counterpart could solve for the
+    hidden factor, so the protocol aborts before sending anything.
     """
     m_a = as_batch(m_a)
     m_b = as_batch(m_b)
@@ -67,23 +67,14 @@ def confusion_protocol(m_a, m_b, rng: np.random.Generator,
         raise ProtocolError("confusion protocol needs the inner dimension "
                             "to exceed the left factor's rows; the product "
                             "would pin down the hidden factor")
-    own_hub = hub is None
-    if own_hub:
-        hub = Hub(actors=("A", "B"))
-    try:
-        conf = make_confusion(m_b.shape[1], rng)
-        hub.send("B", "A", MessageKind.MatrixBlock,
-                 pack_matrix(m_b @ conf.matrix))
-        masked_b = unpack_matrix(hub.recv("A", "B",
-                                          MessageKind.MatrixBlock).payload)
-        hub.send("A", "B", MessageKind.MatrixBlock,
-                 pack_matrix(m_a @ masked_b))
-        masked_prod = unpack_matrix(hub.recv("B", "A",
-                                             MessageKind.MatrixBlock).payload)
-        return masked_prod @ conf.inverse
-    finally:
-        if own_hub:
-            hub.close()
+    conf = make_confusion(m_b.shape[1], rng)
+    masked_b = unpack_matrix(hub.exchange(
+        "B", "A", MessageKind.MatrixBlock,
+        pack_matrix(m_b @ conf.matrix)).payload)
+    masked_prod = unpack_matrix(hub.exchange(
+        "A", "B", MessageKind.MatrixBlock,
+        pack_matrix(m_a @ masked_b)).payload)
+    return masked_prod @ conf.inverse
 
 
 def complete_feature_matrix(pair: DualModelPair, feat_a, feat_b,
@@ -170,8 +161,11 @@ def holdout_edges(adj, fraction: float, rng: np.random.Generator):
 
     Returns (training adjacency, positive pairs, negative pairs); the
     graph is treated as undirected and both triangle entries of a held
-    out edge are cleared.
+    out edge are cleared.  ``fraction`` must lie strictly between 0 and
+    1, and the graph must have a non-edge for every held-out edge.
     """
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
     a = np.asarray(adj)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency must be square")
@@ -180,6 +174,10 @@ def holdout_edges(adj, fraction: float, rng: np.random.Generator):
     if iu.size == 0:
         raise ValueError("graph has no edges")
     n_hold = max(1, int(round(iu.size * fraction)))
+    n_free = n * (n - 1) // 2 - iu.size
+    if n_free < n_hold:
+        raise ValueError(f"{n_hold} held-out edges need as many non-edges; "
+                         f"the graph has {n_free}")
     pick = rng.choice(iu.size, size=n_hold, replace=False)
     pos = [(int(iu[k]), int(ju[k])) for k in pick]
     train = a.astype(np.float64).copy()
@@ -199,14 +197,14 @@ def holdout_edges(adj, fraction: float, rng: np.random.Generator):
 
 def link_prediction_auc(pair: DualModelPair, adj, feat_a, feat_b, has_a,
                         has_b, holdout_fraction: float,
-                        rng: np.random.Generator,
-                        hub: Hub | None = None) -> float:
+                        rng: np.random.Generator, hub: Hub) -> float:
     """Score link prediction with dual-completed features.
 
     The adjacency holder contributes only the rows for its own nodes
     (``has_a``), keeping the masked product underdetermined, so edges
     are held out and scored within that node subset.  Scores are
-    cosine similarities of the masked-product representations.
+    cosine similarities of the masked-product representations, which
+    ``confusion_protocol`` computes over the caller's hub.
     """
     features = complete_feature_matrix(pair, feat_a, feat_b, has_a, has_b)
     a = np.asarray(adj)

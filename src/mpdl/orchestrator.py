@@ -31,7 +31,7 @@ import numpy as np
 
 from .central import SplitCentralModel, central_forward_backward, \
     CentralBatch, init_split_central, party_backward, party_forward
-from .data import GammaSplit, PartyDataset, FeatureSplit, SplitSpec, \
+from .data import GammaSplit, PartyDataset, SplitSpec, \
     blinded_intersection, id_token, kfold_split, partition_features, \
     split_by_gamma
 from .density import fit_kde
@@ -87,7 +87,6 @@ class PreparedExperiment:
     party_a: PartyDataset
     party_b: PartyDataset
     split: GammaSplit
-    feature_split: FeatureSplit
     withheld_labels: dict
     n_classes: int
 
@@ -114,7 +113,7 @@ def prepare_experiment(ds: PartyDataset, gamma: float, seed: int = 0,
                            fsplit.party_b.labels_for(rows_b))
     withheld = {i: int(lab) for i, lab in
                 zip(gsplit.a_only, ds.labels_for(gsplit.a_only))}
-    return PreparedExperiment(party_a, party_b, gsplit, fsplit, withheld,
+    return PreparedExperiment(party_a, party_b, gsplit, withheld,
                               int(ds.labels.max()) + 1)
 
 
@@ -166,8 +165,8 @@ def _rng_int(ss: np.random.SeedSequence) -> int:
 def _labels_to_c(hub: Hub, party_b: PartyDataset) -> dict:
     """B hands C the labels of its rows once, keyed by opaque repr."""
     payload = {repr(i): int(l) for i, l in zip(party_b.ids, party_b.labels)}
-    hub.send("B", "C", MessageKind.Control, pack_json({"labels": payload}))
-    msg = hub.recv("C", "B", MessageKind.Control)
+    msg = hub.exchange("B", "C", MessageKind.Control,
+                       pack_json({"labels": payload}))
     return unpack_json(msg.payload)["labels"]
 
 
@@ -194,6 +193,8 @@ class _FeatureSource:
 
 def _partial_sums(hub: Hub, model: SplitCentralModel, x_a, x_b):
     """A and B ship their first-layer partial sums; C receives both."""
+    # both sends before either receive, not two Hub.exchange calls: the
+    # interleaved order measured a higher peak RSS on long split runs
     hub.send("A", "C", MessageKind.PartialSum,
              pack_matrix(party_forward(model.local_a, x_a)))
     hub.send("B", "C", MessageKind.PartialSum,
@@ -224,6 +225,7 @@ def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
             step = central_forward_backward(
                 model, CentralBatch(z_a, z_b, labels[idx]))
             new_central = sgd_step(model.central, step.central_grads, lr)
+            # both sends before either receive, as in _partial_sums
             hub.send("C", "A", MessageKind.DeltaError,
                      pack_matrix(step.delta_a))
             hub.send("C", "B", MessageKind.DeltaError,
@@ -383,14 +385,12 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
         b_only = list(split.b_only)
         if b_only:
             inferred = dual_infer(state_b.model, store_b.rows(b_only))
-            hub.send("B", "A", MessageKind.Control,
-                     pack_json({"supplement_ids": [repr(i) for i in b_only]}))
-            hub.send("B", "A", MessageKind.InferredBatch,
-                     pack_matrix(inferred))
-            got_ids = unpack_json(hub.recv("A", "B",
-                                           MessageKind.Control).payload)
-            got = unpack_matrix(hub.recv("A", "B",
-                                         MessageKind.InferredBatch).payload)
+            got_ids = unpack_json(hub.exchange(
+                "B", "A", MessageKind.Control, pack_json(
+                    {"supplement_ids": [repr(i) for i in b_only]})).payload)
+            got = unpack_matrix(hub.exchange(
+                "B", "A", MessageKind.InferredBatch,
+                pack_matrix(inferred)).payload)
             for key, row in zip(got_ids["supplement_ids"], got):
                 received_a[key] = row
 
@@ -422,23 +422,22 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
 
     a_only = list(split.a_only)
     if a_only:
-        preds = predict_unlabeled(result, store_a.rows(a_only), a_only, hub)
+        preds = predict_unlabeled(result, store_a.rows(a_only), a_only)
         truth = np.array([data.withheld_labels[i] for i in a_only])
         result.report.accuracy_unlabeled = float((preds == truth).mean())
     result.report.inference_mae = inference_mae_report(data, result)
     return result
 
 
-def predict_unlabeled(result: MpdlResult, x_a, ids=None,
-                      hub: Hub | None = None) -> np.ndarray:
-    """Label A-side rows through the routing protocol.
+def predict_unlabeled(result: MpdlResult, x_a, ids=None) -> np.ndarray:
+    """Label A-side rows through the routing protocol, on ``result.hub``.
 
     A infers the missing partner features and ships them with blinded
     id tokens; B swaps in its true features for any token it holds and
     both parties send partial sums to C, which returns the labels to A.
     Unknown or absent ids always take the inferred path.
     """
-    hub = hub or result.hub
+    hub = result.hub
     x_a = np.atleast_2d(np.asarray(x_a, dtype=np.float64))
     if ids is None:
         ids = [object()] * x_a.shape[0]  # fresh handles: never aligned
@@ -451,17 +450,14 @@ def predict_unlabeled(result: MpdlResult, x_a, ids=None,
     n = result.state_b.keys.public.n
     key = hashlib.sha256(b"routing" + n.to_bytes((n.bit_length() + 7) // 8,
                                                  "big")).digest()
-    hub.send("B", "A", MessageKind.BlindedIds, pack_tokens([key]))
-    key = unpack_tokens(hub.recv("A", "B",
-                                 MessageKind.BlindedIds).payload)[0]
+    key = unpack_tokens(hub.exchange("B", "A", MessageKind.BlindedIds,
+                                     pack_tokens([key])).payload)[0]
     tokens = [id_token(key, i, 32) for i in ids]
     xhat_b = dual_infer(result.state_a.model, x_a)
-    hub.send("A", "B", MessageKind.BlindedIds, pack_tokens(tokens))
-    hub.send("A", "B", MessageKind.InferredBatch, pack_matrix(xhat_b))
-    got_tokens = unpack_tokens(hub.recv("B", "A",
-                                        MessageKind.BlindedIds).payload)
-    got_xhat = unpack_matrix(hub.recv("B", "A",
-                                      MessageKind.InferredBatch).payload)
+    got_tokens = unpack_tokens(hub.exchange(
+        "A", "B", MessageKind.BlindedIds, pack_tokens(tokens)).payload)
+    got_xhat = unpack_matrix(hub.exchange(
+        "A", "B", MessageKind.InferredBatch, pack_matrix(xhat_b)).payload)
 
     # B resolves alignment hits against its own token table
     table = {id_token(key, i, 32): i for i in result.state_b.store.ids}
@@ -470,9 +466,9 @@ def predict_unlabeled(result: MpdlResult, x_a, ids=None,
                     for j, t in enumerate(got_tokens)])
 
     preds = split_predict(hub, result.model_dual, x_a, x_b)
-    hub.send("C", "A", MessageKind.Control,
-             pack_json({"labels": [int(p) for p in preds]}))
-    back = unpack_json(hub.recv("A", "C", MessageKind.Control).payload)
+    back = unpack_json(hub.exchange(
+        "C", "A", MessageKind.Control,
+        pack_json({"labels": [int(p) for p in preds]})).payload)
     return np.array(back["labels"], dtype=np.int64)
 
 

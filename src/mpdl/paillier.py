@@ -92,11 +92,6 @@ class PublicKey:
     def n_squared(self) -> int:
         return self.n * self.n
 
-    @property
-    def max_mantissa(self) -> int:
-        """Largest encodable magnitude: the positive band is [0, n/3)."""
-        return self.n // 3
-
 
 @dataclass(frozen=True)
 class SecretKey:

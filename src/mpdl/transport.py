@@ -2,17 +2,20 @@
 
 Every cross-party byte in the package rides on a ProtocolMessage.  The
 wire format is a length-framed little-endian envelope; payload layouts
-are fixed per message kind.  A hub owns one FIFO channel per directed
-actor pair, assigns globally monotone message ids to the frames its
-channels accept, and keeps each such frame once in a transcript (a send
-that raises leaves no trace); messages are decoded on access.
+are fixed per message kind.  Every hub owns the six FIFO channels among
+A, B and C, one per directed pair, assigns globally monotone message
+ids to the frames its channels accept, and keeps each such frame once
+in a transcript (a send that raises leaves no trace); messages are
+decoded on access.  ``Hub.exchange`` is one delivery: a send, then the
+receiver taking that message before anything else is sent.
 Transcripts are the audit surface: boundary checks are declarative
 predicates evaluated over them after a protocol run.
 
 Two interchangeable backends exist: in-process queues (default) and
 TCP sockets on localhost with one port per directed channel.  Both
 move the same encoded frames, so transcripts are byte-identical for
-the same seed.
+the same seed.  A hub's timeout is set once, when its channels are
+built, and bounds every blocking receive (and every TCP send).
 """
 
 from __future__ import annotations
@@ -216,9 +219,10 @@ def unpack_json(payload: bytes):
 # -- channels ----------------------------------------------------------------
 
 class _LocalChannel:
-    """FIFO byte-frame queue with blocking reads."""
+    """FIFO byte-frame queue with reads that block up to ``timeout``."""
 
-    def __init__(self):
+    def __init__(self, timeout: float):
+        self._timeout = timeout
         self._frames = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -230,8 +234,8 @@ class _LocalChannel:
             self._frames.append(frame)
             self._cond.notify()
 
-    def recv(self, timeout: float) -> bytes:
-        deadline = time.monotonic() + timeout
+    def recv(self) -> bytes:
+        deadline = time.monotonic() + self._timeout
         with self._cond:
             while not self._frames:
                 if self._closed:
@@ -270,7 +274,6 @@ class _TcpChannel:
         self._read.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
         self._write.settimeout(timeout)
         self._read.settimeout(timeout)
-        self._read_timeout = timeout
 
     def send(self, frame: bytes) -> None:
         try:
@@ -283,11 +286,8 @@ class _TcpChannel:
         except OSError as exc:
             raise ProtocolError("channel closed") from exc
 
-    def recv(self, timeout: float) -> bytes:
+    def recv(self) -> bytes:
         try:
-            if timeout != self._read_timeout:
-                self._read.settimeout(timeout)
-                self._read_timeout = timeout
             head = self._read_exact(4)
             (length,) = _U32.unpack(head)
             return head + self._read_exact(length)
@@ -373,26 +373,16 @@ class Hub:
     ``backend`` is "local" or "tcp"; both move identical frames.
     """
 
-    def __init__(self, actors: Sequence[str] = ACTORS, backend: str = "local",
+    def __init__(self, backend: str = "local",
                  timeout: float = DEFAULT_TIMEOUT):
-        for a in actors:
-            if a not in ACTORS:
-                raise ProtocolError(f"unknown actor {a!r}")
         if backend not in ("local", "tcp"):
             raise ProtocolError(f"unknown backend {backend!r}")
-        self.actors = tuple(actors)
-        self.backend = backend
-        self.timeout = timeout
+        channel = _LocalChannel if backend == "local" else _TcpChannel
         self.transcript = Transcript()
         self._lock = threading.Lock()
         self._next_id = 0
-        self._channels = {}
-        for s in self.actors:
-            for r in self.actors:
-                if s != r:
-                    self._channels[(s, r)] = (_LocalChannel() if
-                                              backend == "local"
-                                              else _TcpChannel(timeout))
+        self._channels = {(s, r): channel(timeout)
+                          for s in ACTORS for r in ACTORS if s != r}
 
     def send(self, sender: str, receiver: str, kind: MessageKind,
              payload: bytes, batch_tag: int | None = None) -> ProtocolMessage:
@@ -413,12 +403,10 @@ class Hub:
         return msg
 
     def recv(self, receiver: str, sender: str,
-             kind: MessageKind | None = None,
-             timeout: float | None = None) -> ProtocolMessage:
+             kind: MessageKind | None = None) -> ProtocolMessage:
         if (sender, receiver) not in self._channels:
             raise ProtocolError(f"no channel {sender!r}->{receiver!r}")
-        frame = self._channels[(sender, receiver)].recv(
-            self.timeout if timeout is None else timeout)
+        frame = self._channels[(sender, receiver)].recv()
         msg = decode_message(frame)
         if msg.sender != sender or msg.receiver != receiver:
             raise ProtocolError("frame delivered on the wrong channel")
@@ -426,6 +414,13 @@ class Hub:
             raise ProtocolError(f"expected {MessageKind(kind).name}, got "
                                 f"{msg.kind.name} (msg {msg.msg_id})")
         return msg
+
+    def exchange(self, sender: str, receiver: str, kind: MessageKind,
+                 payload: bytes, batch_tag: int | None = None
+                 ) -> ProtocolMessage:
+        """Send one message and take its delivery at the receiver."""
+        self.send(sender, receiver, kind, payload, batch_tag)
+        return self.recv(receiver, sender, kind)
 
     def close(self) -> None:
         for ch in self._channels.values():

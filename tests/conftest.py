@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from mpdl.data import load_normalize
+from mpdl.transport import Hub
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +24,11 @@ def cancer_csv(tmp_path_factory):
 @pytest.fixture(scope="session")
 def cancer(cancer_csv):
     return load_normalize(cancer_csv, id_column="id", label_column="label")
+
+
+@pytest.fixture
+def hub():
+    """A fresh three-actor local hub, closed after the test."""
+    h = Hub()
+    yield h
+    h.close()

@@ -397,7 +397,7 @@ def test_criterion_08_confusion_protocol_exact_and_blind():
             rng = np.random.default_rng(8000 + inst)
             m_a = rng.uniform(-1.0, 1.0, size=(50, 60))
             m_b = rng.uniform(-1.0, 1.0, size=(60, 10))
-            hub = Hub(actors=("A", "B"))
+            hub = Hub()
             try:
                 out = confusion_protocol(m_a, m_b, rng, hub)
                 report = transcript_assert(hub.transcript, {

@@ -415,6 +415,17 @@ def test_graph_one_input_flag_alone_exits_2(tmp_path, capsys, flag):
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize("fraction", ["0", "1.5"])
+def test_graph_holdout_fraction_outside_unit_interval_exits_2(tmp_path, capsys,
+                                                               fraction):
+    out = tmp_path / "g.csv"
+    assert main(["graph", "--out", str(out), "--synthetic-nodes", "50",
+                 "--gammas", "0.4", "--repeats", "1", "--dual-epochs", "1",
+                 "--no-encryption", "--holdout-fraction", fraction]) == 2
+    assert "holdout fraction must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 def test_unknown_flag_exits_2(capsys):

@@ -254,7 +254,7 @@ def test_kfold_validation_and_determinism():
 
 # -- blinded alignment -----------------------------------------------------------
 
-def test_blinded_intersection_matches_set_oracle():
+def test_blinded_intersection_matches_set_oracle(hub):
     rng = np.random.default_rng(31)
     for trial in range(100):
         universe = [f"id{i}" for i in range(int(rng.integers(2, 60)))]
@@ -264,24 +264,24 @@ def test_blinded_intersection_matches_set_oracle():
         ids_b = [u for u, t in zip(universe, take_b) if t]
         if not ids_a or not ids_b:
             continue
-        got = blinded_intersection(ids_a, ids_b, rng)
+        got = blinded_intersection(ids_a, ids_b, rng, hub)
         assert got == tuple(sorted(set(ids_a) & set(ids_b), key=repr))
 
 
-def test_blinded_intersection_disjoint_is_empty():
+def test_blinded_intersection_disjoint_is_empty(hub):
     rng = np.random.default_rng(5)
-    assert blinded_intersection(["a", "b"], ["c", "d"], rng) == ()
+    assert blinded_intersection(["a", "b"], ["c", "d"], rng, hub) == ()
 
 
-def test_blinded_intersection_mixed_id_types():
+def test_blinded_intersection_mixed_id_types(hub):
     rng = np.random.default_rng(6)
-    got = blinded_intersection([1, 2, "x"], [2, "x", 9], rng)
+    got = blinded_intersection([1, 2, "x"], [2, "x", 9], rng, hub)
     assert got == tuple(sorted([2, "x"], key=repr))
 
 
 def test_blinded_intersection_transcript_has_no_raw_ids():
     rng = np.random.default_rng(7)
-    hub = Hub(actors=("A", "B"))
+    hub = Hub()
     ids_a = ["alice-7731", "bob-0042", "carol-9999"]
     ids_b = ["bob-0042", "dave-1234"]
     got = blinded_intersection(ids_a, ids_b, rng, hub=hub)
@@ -293,7 +293,7 @@ def test_blinded_intersection_transcript_has_no_raw_ids():
     hub.close()
 
 
-def test_blinded_intersection_survives_collisions():
+def test_blinded_intersection_survives_collisions(hub):
     # 1-byte digests collide constantly; retries must still converge or
     # raise the typed error rather than return a wrong answer.
     rng = np.random.default_rng(8)
@@ -303,8 +303,8 @@ def test_blinded_intersection_survives_collisions():
     hits = 0
     for _ in range(20):
         try:
-            got = blinded_intersection(ids_a, ids_b, rng, digest_bytes=1,
-                                       max_attempts=50)
+            got = blinded_intersection(ids_a, ids_b, rng, hub,
+                                       digest_bytes=1, max_attempts=50)
         except AlignmentCollisionError:
             continue
         assert got == expected
@@ -312,17 +312,18 @@ def test_blinded_intersection_survives_collisions():
     assert hits > 0
 
 
-def test_blinded_intersection_rejects_duplicate_ids():
+def test_blinded_intersection_rejects_duplicate_ids(hub):
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
-        blinded_intersection(["a", "a"], ["b"], rng)
+        blinded_intersection(["a", "a"], ["b"], rng, hub)
 
 
 @pytest.mark.parametrize("nbytes", [0, 33])
-def test_blinded_intersection_rejects_digest_sizes_sha256_cannot_fill(nbytes):
+def test_blinded_intersection_rejects_digest_sizes_sha256_cannot_fill(
+        nbytes, hub):
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
-        blinded_intersection(["a"], ["a"], rng, digest_bytes=nbytes)
+        blinded_intersection(["a"], ["a"], rng, hub, digest_bytes=nbytes)
 
 
 def test_xor_matches_bytewise_xor():
@@ -340,5 +341,7 @@ def test_blinded_intersection_property(set_a, set_b, seed):
     if not set_a or not set_b:
         return
     rng = np.random.default_rng(seed)
-    got = blinded_intersection(sorted(set_a), sorted(set_b), rng)
+    hub = Hub()
+    got = blinded_intersection(sorted(set_a), sorted(set_b), rng, hub)
+    hub.close()
     assert got == tuple(sorted(set_a & set_b, key=repr))

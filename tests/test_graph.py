@@ -1,6 +1,7 @@
 """Masked matrix products, representation building, link AUC."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -68,16 +69,16 @@ def test_make_confusion_invertible():
     assert np.allclose(conf.matrix @ conf.inverse, np.eye(6), atol=1e-10)
 
 
-def test_confusion_protocol_identity_mask_case():
+def test_confusion_protocol_identity_mask_case(hub):
     # square well-conditioned factors with a wide inner dimension
     rng = np.random.default_rng(4)
     m_a = rng.normal(size=(3, 7))
     m_b = rng.normal(size=(7, 4))
-    got = confusion_protocol(m_a, m_b, rng)
+    got = confusion_protocol(m_a, m_b, rng, hub)
     assert np.allclose(got, m_a @ m_b, atol=1e-8)
 
 
-def test_confusion_protocol_exactness_100_instances():
+def test_confusion_protocol_exactness_100_instances(hub):
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(100):
@@ -86,19 +87,19 @@ def test_confusion_protocol_exactness_100_instances():
         cols = int(rng.integers(2, 12))
         m_a = rng.normal(size=(rows, inner))
         m_b = rng.normal(size=(inner, cols))
-        got = confusion_protocol(m_a, m_b, rng)
+        got = confusion_protocol(m_a, m_b, rng, hub)
         worst = max(worst, float(np.max(np.abs(got - m_a @ m_b))))
     assert worst <= 1e-8
 
 
-def test_confusion_protocol_aborts_when_solvable():
+def test_confusion_protocol_aborts_when_solvable(hub):
     rng = np.random.default_rng(6)
     with pytest.raises(ProtocolError):
-        confusion_protocol(np.ones((4, 4)), np.ones((4, 2)), rng)
+        confusion_protocol(np.ones((4, 4)), np.ones((4, 2)), rng, hub)
     with pytest.raises(ProtocolError):
-        confusion_protocol(np.ones((5, 4)), np.ones((4, 2)), rng)
+        confusion_protocol(np.ones((5, 4)), np.ones((4, 2)), rng, hub)
     with pytest.raises(ValueError):
-        confusion_protocol(np.ones((2, 4)), np.ones((5, 2)), rng)
+        confusion_protocol(np.ones((2, 4)), np.ones((5, 2)), rng, hub)
 
 
 def test_confusion_protocol_transcript_hides_factors():
@@ -106,7 +107,7 @@ def test_confusion_protocol_transcript_hides_factors():
     rng = np.random.default_rng(7)
     m_a = rng.normal(size=(3, 9))
     m_b = rng.normal(size=(9, 5))
-    hub = Hub(actors=("A", "B"))
+    hub = Hub()
     got = confusion_protocol(m_a, m_b, rng, hub)
     assert np.allclose(got, m_a @ m_b, atol=1e-8)
     msgs = hub.transcript.messages()
@@ -130,7 +131,7 @@ def test_confusion_protocol_rank_deficiency():
     rng = np.random.default_rng(8)
     m_a = rng.normal(size=(2, 6))
     m_b = rng.normal(size=(6, 6))
-    hub = Hub(actors=("A", "B"))
+    hub = Hub()
     confusion_protocol(m_a, m_b, rng, hub)
     masked_product = unpack_matrix(hub.transcript.messages()[-1].payload)
     assert np.linalg.matrix_rank(masked_product) <= 2
@@ -277,7 +278,40 @@ def test_holdout_edges_properties():
         holdout_edges(np.zeros((5, 4)), 0.2, rng)
 
 
-def test_link_prediction_beats_chance():
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, math.nan])
+def test_holdout_edges_rejects_fraction_outside_open_unit_interval(fraction):
+    path = np.eye(6, k=1)
+    adj = path + path.T
+    with pytest.raises(ValueError, match="holdout fraction"):
+        holdout_edges(adj, fraction, np.random.default_rng(0))
+
+
+def test_holdout_edges_rejects_graph_with_too_few_non_edges():
+    # K_4: six edges, three held out, no non-edge to pair them with; the
+    # negative sampler used to spin for ever, so a thread bounds the wait
+    outcome = []
+
+    def call():
+        try:
+            holdout_edges(np.ones((4, 4)) - np.eye(4), 0.5,
+                          np.random.default_rng(0))
+        except ValueError as exc:
+            outcome.append(str(exc))
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "holdout_edges did not return"
+    assert outcome == ["3 held-out edges need as many non-edges; "
+                       "the graph has 0"]
+    # one free pair is enough for one held-out edge
+    adj = np.ones((4, 4)) - np.eye(4)
+    adj[0, 1] = adj[1, 0] = 0.0
+    _, pos, neg = holdout_edges(adj, 0.2, np.random.default_rng(0))
+    assert len(pos) == 1 and neg in ([(0, 1)], [(1, 0)])
+
+
+def test_link_prediction_beats_chance(hub):
     """Feature-similarity graphs give informative representations: the
     dual-completed pipeline should clearly beat AUC 0.5."""
     ds, adj = linked_graph(60, 3, 3, seed=15)
@@ -304,7 +338,12 @@ def test_link_prediction_beats_chance():
             else:
                 g = stepped
     pair = DualModelPair(f, g)
-    aucs = [link_prediction_auc(pair, adj, feat_a, feat_b, has_a, has_b,
-                                0.2, np.random.default_rng(100 + k))
-            for k in range(5)]
+    aucs = []
+    for k in range(5):
+        aucs.append(link_prediction_auc(pair, adj, feat_a, feat_b, has_a,
+                                        has_b, 0.2,
+                                        np.random.default_rng(100 + k), hub))
+        # the masked product runs on the caller's hub: two frames a call
+        assert [m.kind for m in hub.transcript] == \
+            [MessageKind.MatrixBlock] * (2 * (k + 1))
     assert np.mean(aucs) > 0.6

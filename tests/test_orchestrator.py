@@ -337,7 +337,7 @@ def test_predict_unlabeled_aligned_rows_use_true_features(world):
     result = run(world, close=False, max_iters=1, threshold=2.0)
     ids = list(world.split.co_occurrence[:8])
     x_a = result.state_a.store.rows(ids)
-    got = predict_unlabeled(result, x_a, ids, result.hub)
+    got = predict_unlabeled(result, x_a, ids)
 
     x_b = result.state_b.store.rows(ids)
     want = split_predict(result.hub, result.model_dual, x_a, x_b)
@@ -347,9 +347,8 @@ def test_predict_unlabeled_aligned_rows_use_true_features(world):
 def test_predict_unlabeled_absent_ids_take_inferred_path(world):
     result = run(world, close=False, max_iters=1, threshold=2.0)
     x_a = result.state_a.store.rows(list(world.split.a_only[:6]))
-    no_ids = predict_unlabeled(result, x_a, None, result.hub)
-    unknown = predict_unlabeled(result, x_a, [f"ghost{i}" for i in range(6)],
-                                result.hub)
+    no_ids = predict_unlabeled(result, x_a, None)
+    unknown = predict_unlabeled(result, x_a, [f"ghost{i}" for i in range(6)])
     assert np.array_equal(no_ids, unknown)
 
     from mpdl.dual import dual_infer
@@ -361,7 +360,7 @@ def test_predict_unlabeled_absent_ids_take_inferred_path(world):
 def test_predict_unlabeled_shape_guard(world):
     result = run(world, close=False, max_iters=1, threshold=2.0)
     with pytest.raises(ValueError):
-        predict_unlabeled(result, np.zeros((3, 3)), ["a", "b"], result.hub)
+        predict_unlabeled(result, np.zeros((3, 3)), ["a", "b"])
 
 
 # -- metrics ---------------------------------------------------------------------------

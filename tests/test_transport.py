@@ -153,7 +153,7 @@ def test_json_payload_round_trip():
 # -- hub and channels --------------------------------------------------------------
 
 def test_hub_fifo_per_channel():
-    hub = Hub(actors=("A", "B"))
+    hub = Hub()
     for i in range(5):
         hub.send("A", "B", MessageKind.Control, bytes([i]))
     got = [hub.recv("B", "A").payload[0] for _ in range(5)]
@@ -172,7 +172,7 @@ def test_hub_msg_ids_globally_monotone():
 
 
 def test_hub_bad_batch_tag_uses_no_msg_id():
-    hub = Hub(actors=("A", "B"))
+    hub = Hub()
     try:
         for tag in (-1, 2 ** 32):
             with pytest.raises(ProtocolError, match="batch tag"):
@@ -188,7 +188,7 @@ def test_hub_bad_batch_tag_uses_no_msg_id():
 
 @pytest.mark.parametrize("backend", ["local", "tcp"])
 def test_hub_failed_send_leaves_transcript_empty(backend):
-    hub = Hub(actors=("A", "B"), backend=backend)
+    hub = Hub(backend=backend)
     hub.close()
     with pytest.raises(ProtocolError, match="channel closed"):
         hub.send("A", "B", MessageKind.Control, b"x")
@@ -196,7 +196,7 @@ def test_hub_failed_send_leaves_transcript_empty(backend):
 
 
 def test_hub_failed_send_uses_no_msg_id(monkeypatch):
-    hub = Hub(actors=("A", "B"))
+    hub = Hub()
     channel = hub._channels[("A", "B")]
     original, failed = channel.send, []
 
@@ -219,14 +219,14 @@ def test_hub_failed_send_uses_no_msg_id(monkeypatch):
 
 
 def test_hub_recv_timeout():
-    hub = Hub(actors=("A", "B"), timeout=0.05)
+    hub = Hub(timeout=0.05)
     with pytest.raises(ProtocolError):
         hub.recv("B", "A")
     hub.close()
 
 
 def test_hub_kind_mismatch():
-    hub = Hub(actors=("A", "B"))
+    hub = Hub()
     hub.send("A", "B", MessageKind.Control, b"")
     with pytest.raises(ProtocolError):
         hub.recv("B", "A", MessageKind.GradTerm)
@@ -235,15 +235,41 @@ def test_hub_kind_mismatch():
 
 def test_hub_unknown_channel_and_actor():
     with pytest.raises(ProtocolError):
-        Hub(actors=("A", "X"))
-    with pytest.raises(ProtocolError):
         Hub(backend="carrier-pigeon")
-    hub = Hub(actors=("A", "B"))
-    with pytest.raises(ProtocolError):
+    hub = Hub()
+    with pytest.raises(ProtocolError, match="no channel"):
         hub.send("A", "A", MessageKind.Control, b"")
-    with pytest.raises(ProtocolError):
-        hub.send("A", "C", MessageKind.Control, b"")
+    with pytest.raises(ProtocolError, match="no channel"):
+        hub.send("A", "X", MessageKind.Control, b"")
     hub.close()
+
+
+@pytest.mark.parametrize("backend", ["local", "tcp"])
+def test_hub_exchange_delivers_what_send_records(backend, monkeypatch):
+    hub = Hub(backend=backend)
+    sent = []
+
+    def spy(*args):
+        sent.append(Hub.send(hub, *args))
+        return sent[-1]
+
+    monkeypatch.setattr(hub, "send", spy)
+    try:
+        hub.send("C", "A", MessageKind.Control, b"first")
+        hub.recv("A", "C")
+        got = hub.exchange("B", "C", MessageKind.GradTerm,
+                           pack_matrix(np.eye(2)), batch_tag=3)
+        assert got == sent[-1] == ProtocolMessage(
+            1, "B", "C", MessageKind.GradTerm, pack_matrix(np.eye(2)), 3)
+        assert len(hub.transcript) == 2
+        assert hub.transcript.entries[-1].message == got
+        again = hub.exchange("B", "C", MessageKind.GradTerm, b"")
+        assert again.msg_id == 2 and len(hub.transcript) == 3
+    finally:
+        hub.close()
+    with pytest.raises(ProtocolError, match="channel closed"):
+        hub.exchange("B", "C", MessageKind.GradTerm, b"")
+    assert len(hub.transcript) == 3
 
 
 def _run_script(hub):
@@ -270,7 +296,7 @@ def test_tcp_backend_produces_identical_transcript():
 def test_tcp_send_of_unread_large_frame_times_out():
     # 32 MB is far beyond the socket buffers, so with nobody reading the
     # send can only finish by timing out
-    hub = Hub(actors=("A", "B"), backend="tcp", timeout=1.0)
+    hub = Hub(backend="tcp", timeout=1.0)
     errors = []
 
     def send():
@@ -293,7 +319,7 @@ def test_tcp_send_of_unread_large_frame_times_out():
 
 
 def test_tcp_channel_closed_raises_protocol_error():
-    hub = Hub(actors=("A", "B"), backend="tcp")
+    hub = Hub(backend="tcp")
     hub.close()
     with pytest.raises(ProtocolError, match="channel closed"):
         hub.send("A", "B", MessageKind.Control, b"x")
@@ -303,7 +329,7 @@ def test_tcp_channel_closed_raises_protocol_error():
 
 def test_transcript_keeps_each_frame_once():
     count, size = 50, 64 * 1024
-    hub = Hub(actors=("A", "B"))
+    hub = Hub()
     gc.collect()
     tracemalloc.start()
     try:
