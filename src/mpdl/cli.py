@@ -3,13 +3,14 @@
 Four subcommands: ``mpdl`` (accuracy table over co-occurrence
 fractions), ``privacy-sweep`` (accuracy and inference error against the
 privacy budget), ``graph`` (link-prediction AUC over co-occurrence
-fractions) and ``selftest`` (built-in oracle checks).  Each setting is
-declared once, in ``MpdlConfig`` or ``DEFAULTS``, and the type of its
-default picks its parser; ``SETTINGS`` names the settings each
-subcommand reads, the only ones it takes as flags.  Settings resolve
-as CLI flags over config-file entries over built-in defaults; the seed
-additionally falls back to the MPDL_SEED environment variable.  Every
-output CSV embeds the resolved settings and a content hash of the
+fractions, each run going through the same DP perturbation and blinded
+alignment as ``mpdl``) and ``selftest`` (built-in oracle checks).  Each
+setting is declared once, in ``MpdlConfig`` or ``DEFAULTS``, and the
+type of its default picks its parser; ``SETTINGS`` names the settings
+each subcommand reads, the only ones it takes as flags.  Settings
+resolve as CLI flags over config-file entries over built-in defaults;
+the seed additionally falls back to the MPDL_SEED environment variable.
+Every output CSV embeds the resolved settings and a content hash of the
 input files, and identical settings produce byte-identical files.
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid configuration,
@@ -28,8 +29,9 @@ import sys
 
 import numpy as np
 
-from .orchestrator import MpdlConfig, mpdl_train, prepare_experiment, \
-    train_dual_generators
+from .data import PartyDataset, load_normalize
+from .graph import check_holdout_fraction, link_prediction_repeats
+from .orchestrator import MpdlConfig, mpdl_train, prepare_experiment
 from .privacy import SENSITIVITY_MODES
 from .transport import ProtocolError
 
@@ -55,9 +57,10 @@ _TRAINING = ("seed", "repeats", "id_column", "label_column", "test_fraction",
 SETTINGS = {
     "mpdl": ("gammas", "epsilon") + _TRAINING,
     "privacy-sweep": ("gamma", "epsilons") + _TRAINING,
-    "graph": ("gammas", "seed", "repeats", "id_column", "synthetic_nodes",
-              "holdout_fraction", "lam", "lr", "dual_epochs", "batch_size",
-              "key_bits", "no_encryption", "exact_duality_grad"),
+    "graph": ("gammas", "epsilon", "seed", "repeats", "id_column",
+              "synthetic_nodes", "holdout_fraction", "sensitivity_mode", "lam",
+              "lr", "dual_epochs", "batch_size", "key_bits", "no_encryption",
+              "exact_duality_grad"),
 }
 
 
@@ -136,6 +139,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             settings[key] = value
     if settings["repeats"] < 1:
         raise ValueError("repeats must be at least 1")
+    if "holdout_fraction" in settings:
+        check_holdout_fraction(settings["holdout_fraction"])
     return settings
 
 
@@ -164,7 +169,6 @@ def write_csv(path: str, settings: dict, input_hash: str, header: list[str],
 
 
 def load_dataset(settings: dict, path: str):
-    from .data import load_normalize
     return load_normalize(path, id_column=settings["id_column"],
                           label_column=settings["label_column"])
 
@@ -223,16 +227,6 @@ def cmd_privacy_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    from random import Random
-    from .data import PartyDataset, SplitSpec, load_normalize, \
-        partition_features, split_by_gamma
-    from .density import fit_kde
-    from .dual import DualModelPair, DualPartyState
-    from .graph import link_prediction_auc
-    from .nn import dual_hidden_width, init_mlp
-    from .paillier import keygen
-    from .transport import Hub
-
     settings = resolve_settings(args)
     if bool(args.edges) != bool(args.features):
         raise ValueError("--edges and --features must be given together")
@@ -266,52 +260,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
     rows = []
     for gamma in parse_list(settings["gammas"]):
-        aucs = []
-        for r in range(settings["repeats"]):
-            seed = settings["seed"] + r
-            rng = np.random.default_rng(seed)
-            fsplit = partition_features(ds, seed=seed)
-            gsplit = split_by_gamma(ds.ids, SplitSpec(gamma, 0.0, seed))
-            co = list(gsplit.co_occurrence)
-            idx = {i: k for k, i in enumerate(ds.ids)}
-            has_a = np.zeros(len(ds.ids), dtype=bool)
-            has_b = np.zeros(len(ds.ids), dtype=bool)
-            for i in co + list(gsplit.a_only):
-                has_a[idx[i]] = True
-            for i in co + list(gsplit.b_only):
-                has_b[idx[i]] = True
-
-            key_rng = Random(seed)
-            keys_a = keygen(settings["key_bits"], key_rng)
-            keys_b = keygen(settings["key_bits"], key_rng)
-            fa_co = fsplit.party_a.rows(co)
-            fb_co = fsplit.party_b.rows(co)
-            d_a = fa_co.shape[1]
-            d_b = fb_co.shape[1]
-            state_a = DualPartyState(
-                "A", PartyDataset(tuple(co), fa_co), fit_kde(fa_co),
-                init_mlp([d_a, dual_hidden_width(d_a, d_b), d_b],
-                         ["relu", "identity"], rng),
-                keys_a, keys_b.public, settings["lam"], settings["lr"])
-            state_b = DualPartyState(
-                "B", PartyDataset(tuple(co), fb_co), fit_kde(fb_co),
-                init_mlp([d_b, dual_hidden_width(d_b, d_a), d_a],
-                         ["relu", "identity"], rng),
-                keys_b, keys_a.public, settings["lam"], settings["lr"])
-            hub = Hub()
-            try:
-                train_dual_generators(
-                    state_a, state_b, co, hub, settings["dual_epochs"],
-                    settings["batch_size"], rng, Random(seed + 1),
-                    use_encryption=not settings["no_encryption"],
-                    exact_duality_grad=settings["exact_duality_grad"])
-                pair = DualModelPair(state_a.model, state_b.model)
-                aucs.append(link_prediction_auc(
-                    pair, adj, fsplit.party_a.features,
-                    fsplit.party_b.features, has_a, has_b,
-                    settings["holdout_fraction"], rng, hub))
-            finally:
-                hub.close()
+        config = build_config(settings, gamma, settings["epsilon"],
+                              settings["seed"])
+        aucs = link_prediction_repeats(ds, adj, config, settings["repeats"],
+                                       settings["holdout_fraction"])
         rows.append([gamma, float(np.mean(aucs)), float(np.std(aucs)),
                      settings["repeats"]])
     write_csv(args.out, settings, input_hash,

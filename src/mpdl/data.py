@@ -313,17 +313,14 @@ def blinded_intersection(ids_a, ids_b, rng: np.random.Generator, hub: Hub,
 
 
 def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
-    def draw(nbytes: int) -> bytes:
-        return rng.bytes(nbytes)
-
     # message 1: B -> A, the session key for the keyed hash
     session_key = unpack_tokens(hub.exchange(
-        "B", "A", MessageKind.BlindedIds, pack_tokens([draw(32)])).payload)[0]
+        "B", "A", MessageKind.BlindedIds,
+        pack_tokens([rng.bytes(32)])).payload)[0]
 
     # message 2: A -> B, A's keyed-hashed ids under A's private mask
-    mask_a = draw(digest_bytes)
-    order_a = list(ids_a)
-    hashed_a = [id_token(session_key, i, digest_bytes) for i in order_a]
+    mask_a = rng.bytes(digest_bytes)
+    hashed_a = [id_token(session_key, i, digest_bytes) for i in ids_a]
     if len(set(hashed_a)) != len(hashed_a):
         raise AlignmentCollisionError("keyed hash collided inside A's set")
     blinded_a = unpack_tokens(hub.exchange(
@@ -331,7 +328,7 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
         pack_tokens(_xor(t, mask_a) for t in hashed_a)).payload)
 
     # message 3: B -> A, A's tokens double-masked plus B's masked tokens
-    mask_b = draw(digest_bytes)
+    mask_b = rng.bytes(digest_bytes)
     hashed_b = {id_token(session_key, i, digest_bytes): i for i in ids_b}
     if len(hashed_b) != len(ids_b):
         raise AlignmentCollisionError("keyed hash collided inside B's set")
@@ -340,8 +337,8 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
     received = unpack_tokens(hub.exchange(
         "B", "A", MessageKind.BlindedIds,
         pack_tokens([*double_masked_a, *masked_b])).payload)
-    returned_a = received[:len(order_a)]
-    returned_b = set(received[len(order_a):])
+    returned_a = received[:len(ids_a)]
+    returned_b = set(received[len(ids_a):])
 
     # message 4: A -> B, the masked tokens common to both sets
     unmasked = [_xor(t, mask_a) for t in returned_a]
@@ -349,7 +346,7 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
         raise AlignmentCollisionError("masking collapsed distinct tokens")
     common_tokens = [t for t in unmasked if t in returned_b]
     common_at_a = sorted(
-        (i for i, t in zip(order_a, unmasked) if t in returned_b), key=repr)
+        (i for i, t in zip(ids_a, unmasked) if t in returned_b), key=repr)
     final_tokens = unpack_tokens(hub.exchange(
         "A", "B", MessageKind.BlindedIds, pack_tokens(common_tokens)).payload)
 

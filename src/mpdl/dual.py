@@ -32,8 +32,8 @@ from .density import KdeModel, grad_log_density_batch, log_density_batch
 from .nn import Mlp, backprop_from_output_grad, clip_global_norm, \
     loss_eval, mlp_forward, sgd_step
 from .paillier import CipherVector, KeyPair, PublicKey, SecretKey
-from .transport import Hub, MessageKind, pack_ciphers, pack_matrix, \
-    unpack_ciphers, unpack_matrix
+from .transport import Hub, MessageKind, ProtocolError, pack_ciphers, \
+    pack_matrix, unpack_ciphers, unpack_matrix
 
 
 @dataclass(frozen=True)
@@ -284,6 +284,15 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
                            round_tag)
         halves[dst].cross_in = codec.open(halves[dst].state.keys.secret,
                                           msg.payload)
+
+    # a received part of the wrong shape would broadcast in the sum
+    for dst, src in (("A", "B"), ("B", "A")):
+        want = halves[dst].out.shape
+        for kind, got in ((MessageKind.GradTerm, halves[dst].plain_in.shape),
+                          (codec.kind, halves[dst].cross_in.shape)):
+            if got != want:
+                raise ProtocolError(f"{kind.name} from {src} has shape "
+                                    f"{got}, expected {want}")
 
     # local assembly and SGD: no further communication
     for half in halves.values():

@@ -9,12 +9,14 @@ completed with the trained dual generators before the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import PartyDataset
 from .dual import DualModelPair, dual_infer
 from .nn import as_batch
+from .orchestrator import MpdlConfig, prepare_experiment, setup_parties
 from .transport import Hub, MessageKind, ProtocolError, pack_matrix, \
     unpack_matrix
 
@@ -156,6 +158,11 @@ def cosine_scores(reps: np.ndarray, edges) -> np.ndarray:
     return np.array(out)
 
 
+def check_holdout_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
+
+
 def holdout_edges(adj, fraction: float, rng: np.random.Generator):
     """Remove a fraction of edges and pair them with sampled non-edges.
 
@@ -164,8 +171,7 @@ def holdout_edges(adj, fraction: float, rng: np.random.Generator):
     out edge are cleared.  ``fraction`` must lie strictly between 0 and
     1, and the graph must have a non-edge for every held-out edge.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
+    check_holdout_fraction(fraction)
     a = np.asarray(adj)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency must be square")
@@ -219,3 +225,40 @@ def link_prediction_auc(pair: DualModelPair, adj, feat_a, feat_b, has_a,
     pairs = pos + neg
     truth = np.array([1] * len(pos) + [0] * len(neg))
     return link_auc(cosine_scores(reps, pairs), truth)
+
+
+def _node_features(store: PartyDataset, ids):
+    """``store``'s rows over ``ids``, zero where it has none, and its mask."""
+    has = np.array([i in store.index for i in ids])
+    feat = np.zeros((len(ids), store.features.shape[1]))
+    feat[has] = store.rows([i for i, h in zip(ids, has) if h])
+    return feat, has
+
+
+def link_prediction_repeats(ds: PartyDataset, adj, config: MpdlConfig,
+                            repeats: int,
+                            holdout_fraction: float) -> list[float]:
+    """``mpdl graph``: the AUC of each run seeded ``config.seed + r``.
+
+    A run splits the nodes with no test block and trains the generators
+    after ``setup_parties``, as ``mpdl_train`` does, on a fresh hub; it
+    then scores link prediction on the two perturbed stores.
+    """
+    aucs = []
+    for r in range(repeats):
+        run = replace(config, seed=config.seed + r)
+        data = prepare_experiment(ds, run.gamma, seed=run.seed,
+                                  test_fraction=0.0)
+        hub = Hub()
+        try:
+            setup = setup_parties(data, run, hub)
+            setup.train_generators(hub, run)
+            feat_a, has_a = _node_features(setup.state_a.store, ds.ids)
+            feat_b, has_b = _node_features(setup.state_b.store, ds.ids)
+            pair = DualModelPair(setup.state_a.model, setup.state_b.model)
+            aucs.append(link_prediction_auc(
+                pair, adj, feat_a, feat_b, has_a, has_b, holdout_fraction,
+                np.random.default_rng(setup.fold_seed), hub))
+        finally:
+            hub.close()
+    return aucs

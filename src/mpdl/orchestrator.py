@@ -5,17 +5,18 @@ The driver plays all three roles of the simulation but every tensor
 that crosses a trust boundary travels through the hub, so transcripts
 reflect exactly what each actor could have observed.  Per run:
 
-1. both parties perturb their feature stores once (feature-level DP)
-   and fit KDEs on their perturbed training partitions;
-2. the co-occurring ids are found by blinded intersection and folded;
-3. for up to ``max_iters`` iterations: the dual generators train over
+1. ``setup_parties`` (``mpdl graph`` runs it too): both parties perturb
+   their feature stores once (feature-level DP), fit KDEs on their
+   perturbed training partitions and find the co-occurring ids by
+   blinded intersection, which are then folded;
+2. for up to ``max_iters`` iterations: the dual generators train over
    the co-occurrence block (they persist and keep improving), B infers
    the missing A-side features of its own-only rows to build the
    supplement block, and two fresh central models are trained, one on
    the fold-train rows alone (joint baseline) and one with the
    supplement added; iteration stops early when the supplemented model
    beats the baseline on the held-out fold by more than the threshold;
-4. the report carries per-iteration validation scores, test accuracies
+3. the report carries per-iteration validation scores, test accuracies
    for both central models, the unlabeled-routing accuracy over A-only
    rows, and the inference error of the generators against raw data.
 """
@@ -170,27 +171,6 @@ def _labels_to_c(hub: Hub, party_b: PartyDataset) -> dict:
     return unpack_json(msg.payload)["labels"]
 
 
-class _FeatureSource:
-    """A's feature lookup across its own store and received inferred rows."""
-
-    def __init__(self, store: PartyDataset, received: dict):
-        self.store = store
-        self.received = received
-        self._index = store.index
-
-    def rows(self, ids) -> np.ndarray:
-        out = []
-        for i in ids:
-            if i in self._index:
-                out.append(self.store.features[self._index[i]])
-            else:
-                key = repr(i)
-                if key not in self.received:
-                    raise KeyError(f"party A has no features for id {i!r}")
-                out.append(self.received[key])
-        return np.vstack(out)
-
-
 def _partial_sums(hub: Hub, model: SplitCentralModel, x_a, x_b):
     """A and B ship their first-layer partial sums; C receives both."""
     # both sends before either receive, not two Hub.exchange calls: the
@@ -290,73 +270,101 @@ def mpdl_train(data: PreparedExperiment, config: MpdlConfig,
         raise
 
 
-def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
-                   hub: Hub) -> MpdlResult:
-    ss = np.random.SeedSequence(config.seed)
-    (ss_keys, ss_noise_a, ss_noise_b, ss_align, ss_dual_init, ss_folds,
-     ss_dual_order, ss_central, ss_protocol) = ss.spawn(9)
+@dataclass(frozen=True)
+class PartySetup:
+    """Both parties ready for dual training, and the run's other streams."""
 
-    party_a, party_b = data.party_a, data.party_b
+    state_a: DualPartyState
+    state_b: DualPartyState
+    common: tuple
+    order_rng: np.random.Generator
+    protocol_rng: Random
+    fold_seed: np.random.SeedSequence
+    central_seed: np.random.SeedSequence
+
+    def train_generators(self, hub: Hub, config: MpdlConfig,
+                         first_tag: int = 0) -> int:
+        """``config.dual_epochs`` epochs; returns the next free round tag."""
+        return train_dual_generators(
+            self.state_a, self.state_b, self.common, hub, config.dual_epochs,
+            config.batch_size, self.order_rng, self.protocol_rng, first_tag,
+            use_encryption=config.use_encryption,
+            exact_duality_grad=config.exact_duality_grad)
+
+
+def setup_parties(data: PreparedExperiment, config: MpdlConfig,
+                  hub: Hub) -> PartySetup:
+    """Both parties draw keys; each perturbs its features once (feature-
+    oriented DP), fits its KDE on the perturbed training rows and draws
+    its generator; blinded intersection on ``hub`` then finds the
+    co-occurring ids."""
+    (ss_keys, ss_noise_a, ss_noise_b, ss_align, ss_dual_init, ss_folds,
+     ss_dual_order, ss_central, ss_protocol) = \
+        np.random.SeedSequence(config.seed).spawn(9)
+
     split = data.split
     train_a = list(split.co_occurrence) + list(split.a_only)
     train_b = list(split.co_occurrence) + list(split.b_only)
-    d_a = party_a.features.shape[1]
-    d_b = party_b.features.shape[1]
-    hidden = dual_hidden_width(d_a + d_b, data.n_classes)
-
-    # one-shot feature perturbation, then KDEs over the perturbed
-    # training partitions
-    def perturbed_store(name, party, ss_noise, n_train):
-        cfg = DpConfig(config.epsilon, hidden, n_train,
-                       config.sensitivity_mode)
-        perturber = OneShotPerturber(cfg, np.random.default_rng(ss_noise))
-        out = perturber.perturb(name, party.features, ids=party.ids)
-        return PartyDataset(party.ids, out.features, party.labels)
-
-    store_a = perturbed_store("A", party_a, ss_noise_a, len(train_a))
-    store_b = perturbed_store("B", party_b, ss_noise_b, len(train_b))
-
-    kde_a = fit_kde(store_a.rows(train_a))
-    kde_b = fit_kde(store_b.rows(train_b))
-
-    # keys and alignment
+    hidden = dual_hidden_width(data.party_a.features.shape[1] +
+                               data.party_b.features.shape[1], data.n_classes)
     key_rng = Random(_rng_int(ss_keys))
     keys_a = keygen(config.key_bits, key_rng)
     keys_b = keygen(config.key_bits, key_rng)
+    dual_rng = np.random.default_rng(ss_dual_init)
+
+    def party_state(name, party, ss_noise, train, partner, keys,
+                    partner_keys):
+        cfg = DpConfig(config.epsilon, hidden, len(train),
+                       config.sensitivity_mode)
+        perturber = OneShotPerturber(cfg, np.random.default_rng(ss_noise))
+        out = perturber.perturb(name, party.features, ids=party.ids)
+        store = PartyDataset(party.ids, out.features, party.labels)
+        d_in, d_out = party.features.shape[1], partner.features.shape[1]
+        generator = init_mlp([d_in, dual_hidden_width(d_in, d_out), d_out],
+                             ["relu", "identity"], dual_rng)
+        return DualPartyState(name, store, fit_kde(store.rows(train)),
+                              generator, keys, partner_keys.public,
+                              config.lam, config.lr)
+
+    state_a = party_state("A", data.party_a, ss_noise_a, train_a,
+                          data.party_b, keys_a, keys_b)
+    state_b = party_state("B", data.party_b, ss_noise_b, train_b,
+                          data.party_a, keys_b, keys_a)
     common = blinded_intersection(train_a, train_b,
                                   np.random.default_rng(ss_align), hub)
     if set(common) != set(split.co_occurrence):
         raise ProtocolError("alignment disagrees with the constructed split")
+    return PartySetup(state_a, state_b, common,
+                      np.random.default_rng(ss_dual_order),
+                      Random(_rng_int(ss_protocol)), ss_folds, ss_central)
 
-    dual_rng = np.random.default_rng(ss_dual_init)
-    gen_hidden_ab = dual_hidden_width(d_a, d_b)
-    gen_hidden_ba = dual_hidden_width(d_b, d_a)
-    state_a = DualPartyState(
-        "A", store_a, kde_a,
-        init_mlp([d_a, gen_hidden_ab, d_b], ["relu", "identity"], dual_rng),
-        keys_a, keys_b.public, config.lam, config.lr)
-    state_b = DualPartyState(
-        "B", store_b, kde_b,
-        init_mlp([d_b, gen_hidden_ba, d_a], ["relu", "identity"], dual_rng),
-        keys_b, keys_a.public, config.lam, config.lr)
 
-    labels_c = _labels_to_c(hub, party_b)
-    folds = kfold_split(common, config.folds, seed=_rng_int(ss_folds))
-    fold_order = np.random.default_rng(ss_folds).permutation(config.folds)
-    order_rng = np.random.default_rng(ss_dual_order)
-    central_rng = np.random.default_rng(ss_central)
-    protocol_rng = Random(_rng_int(ss_protocol))
+def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
+                   hub: Hub) -> MpdlResult:
+    setup = setup_parties(data, config, hub)
+    state_a, state_b, common = setup.state_a, setup.state_b, setup.common
+    store_a, store_b, split = state_a.store, state_b.store, data.split
+
+    labels_c = _labels_to_c(hub, data.party_b)
+    folds = kfold_split(common, config.folds,
+                        seed=_rng_int(setup.fold_seed))
+    fold_order = np.random.default_rng(setup.fold_seed).permutation(
+        config.folds)
+    central_rng = np.random.default_rng(setup.central_seed)
 
     received_a: dict = {}
-    src_a = _FeatureSource(store_a, received_a)
     records: list[IterationRecord] = []
     model_joint = model_dual = None
     converged = False
     round_tag = 0
 
     def split_rows(ids):
-        """A's and B's features for ``ids``, and C's labels."""
-        return (src_a.rows(ids), store_b.rows(ids),
+        """A's features for ``ids`` (its own, or the rows B inferred for
+        its own-only ids), B's, and C's labels."""
+        index = store_a.index
+        x_a = np.array([store_a.features[index[i]] if i in index
+                        else received_a[repr(i)] for i in ids])
+        return (x_a, store_b.rows(ids),
                 np.array([labels_c[repr(i)] for i in ids], dtype=np.int64))
 
     def train(base, ids):
@@ -375,11 +383,7 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
         d_t = [i for i in common if i not in held_out]
 
         # dual generators keep training across iterations
-        round_tag = train_dual_generators(
-            state_a, state_b, common, hub, config.dual_epochs,
-            config.batch_size, order_rng, protocol_rng, round_tag,
-            use_encryption=config.use_encryption,
-            exact_duality_grad=config.exact_duality_grad)
+        round_tag = setup.train_generators(hub, config, round_tag)
 
         # B completes its own-only rows with inferred A-side features
         b_only = list(split.b_only)
@@ -391,12 +395,12 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
             got = unpack_matrix(hub.exchange(
                 "B", "A", MessageKind.InferredBatch,
                 pack_matrix(inferred)).payload)
-            for key, row in zip(got_ids["supplement_ids"], got):
-                received_a[key] = row
+            received_a.update(zip(got_ids["supplement_ids"], got))
 
         # fresh central models each iteration, identical initial weights
-        base = init_split_central(d_a, d_b, data.n_classes, central_rng,
-                                  hidden=hidden)
+        base = init_split_central(store_a.features.shape[1],
+                                  store_b.features.shape[1], data.n_classes,
+                                  central_rng)
         model_joint = train(base, d_t)
         model_dual = train(base, d_t + b_only)
 

@@ -137,6 +137,29 @@ def unpack_matrix(payload: bytes) -> np.ndarray:
         rows, cols).copy()
 
 
+def _pack_blobs(blobs: Iterable[bytes]) -> bytes:
+    """Each blob behind its u32 length."""
+    return b"".join(_U32.pack(len(b)) + b for b in blobs)
+
+
+def _unpack_blobs(payload: bytes, offset: int, count: int,
+                  what: str) -> list[bytes]:
+    """``count`` length-prefixed blobs from ``offset`` to the end."""
+    out = []
+    for _ in range(count):
+        if offset + 4 > len(payload):
+            raise ProtocolError(f"{what} payload truncated")
+        (length,) = _U32.unpack_from(payload, offset)
+        offset += 4
+        if offset + length > len(payload):
+            raise ProtocolError(f"{what} payload truncated")
+        out.append(payload[offset:offset + length])
+        offset += length
+    if offset != len(payload):
+        raise ProtocolError(f"trailing bytes in {what} payload")
+    return out
+
+
 def pack_ciphers(key_id: str, scale: int, rows: int, cols: int,
                  ciphertexts: Sequence[int]) -> bytes:
     """Cipher block: key id, power-of-two scale exponent, shape, big-endian ints."""
@@ -147,62 +170,33 @@ def pack_ciphers(key_id: str, scale: int, rows: int, cols: int,
     kid = key_id.encode("ascii")
     if len(kid) != 16:
         raise ProtocolError("key id must be 16 ascii chars")
-    parts = [kid, struct.pack("<HII", scale.bit_length() - 1, rows, cols)]
-    for c in ciphertexts:
-        raw = cipher_to_bytes(int(c))
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+    return kid + struct.pack("<HII", scale.bit_length() - 1, rows, cols) + \
+        _pack_blobs(cipher_to_bytes(int(c)) for c in ciphertexts)
 
 
 def unpack_ciphers(payload: bytes) -> tuple[str, int, int, int, tuple[int, ...]]:
     if len(payload) < 26:
         raise ProtocolError("cipher payload too short")
-    key_id = payload[:16].decode("ascii")
+    try:
+        key_id = payload[:16].decode("ascii")
+    except UnicodeDecodeError:
+        raise ProtocolError("cipher key id is not ascii") from None
     scale_exp, rows, cols = struct.unpack_from("<HII", payload, 16)
-    offset = 26
-    cts = []
-    for _ in range(rows * cols):
-        if offset + 4 > len(payload):
-            raise ProtocolError("cipher payload truncated")
-        (length,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        if offset + length > len(payload):
-            raise ProtocolError("cipher payload truncated")
-        cts.append(cipher_from_bytes(payload[offset:offset + length]))
-        offset += length
-    if offset != len(payload):
-        raise ProtocolError("trailing bytes in cipher payload")
-    return key_id, 2 ** scale_exp, rows, cols, tuple(cts)
+    cts = _unpack_blobs(payload, 26, rows * cols, "cipher")
+    return key_id, 2 ** scale_exp, rows, cols, tuple(map(cipher_from_bytes,
+                                                        cts))
 
 
 def pack_tokens(tokens: Iterable[bytes]) -> bytes:
-    toks = list(tokens)
-    parts = [struct.pack("<I", len(toks))]
-    for t in toks:
-        parts.append(struct.pack("<I", len(t)))
-        parts.append(bytes(t))
-    return b"".join(parts)
+    toks = [bytes(t) for t in tokens]
+    return _U32.pack(len(toks)) + _pack_blobs(toks)
 
 
 def unpack_tokens(payload: bytes) -> tuple[bytes, ...]:
     if len(payload) < 4:
         raise ProtocolError("token payload too short")
-    (count,) = struct.unpack_from("<I", payload, 0)
-    offset = 4
-    out = []
-    for _ in range(count):
-        if offset + 4 > len(payload):
-            raise ProtocolError("token payload truncated")
-        (length,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        if offset + length > len(payload):
-            raise ProtocolError("token payload truncated")
-        out.append(payload[offset:offset + length])
-        offset += length
-    if offset != len(payload):
-        raise ProtocolError("trailing bytes in token payload")
-    return tuple(out)
+    (count,) = _U32.unpack_from(payload, 0)
+    return tuple(_unpack_blobs(payload, 4, count, "token"))
 
 
 def pack_json(obj) -> bytes:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -121,9 +122,8 @@ def test_defaults_take_every_mpdl_config_default():
     ("mpdl", {"epsilons", "gamma", "holdout_fraction", "synthetic_nodes"}),
     ("privacy-sweep", {"epsilon", "gammas", "holdout_fraction",
                        "synthetic_nodes"}),
-    ("graph", {"epsilon", "sensitivity_mode", "folds", "threshold",
-               "max_iters", "central_epochs", "test_fraction", "epsilons",
-               "gamma", "label_column"}),
+    ("graph", {"folds", "threshold", "max_iters", "central_epochs",
+               "test_fraction", "epsilons", "gamma", "label_column"}),
 ])
 def test_each_subcommand_resolves_only_what_it_reads(tmp_path, command,
                                                      unread):
@@ -139,7 +139,6 @@ def test_each_subcommand_resolves_only_what_it_reads(tmp_path, command,
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--epsilon", "0.1"), ("--sensitivity-mode", "per_layer"),
     ("--folds", "2"), ("--threshold", "0.1"), ("--max-iters", "1"),
     ("--central-epochs", "1"), ("--test-fraction", "0.2")])
 def test_graph_rejects_settings_it_ignores(tmp_path, capsys, flag, value):
@@ -309,17 +308,17 @@ def test_graph_synthetic_csv(tmp_path):
     assert 0.0 <= auc <= 1.0
 
 
-# exact bytes of a seeded multi-epoch graph run: its own epoch loop over
-# run_dual_round repeats the same rows, and no golden digest covers it
+# exact bytes of a seeded multi-epoch graph run: its epochs repeat the
+# same rows after the shared party set-up, and no golden digest covers it
 GRAPH_MULTI_EPOCH_CSV = (
-    '# config: {"batch_size": 32, "dual_epochs": 3, '
+    '# config: {"batch_size": 32, "dual_epochs": 3, "epsilon": 0.5, '
     '"exact_duality_grad": false, "gammas": "0.4", "holdout_fraction": 0.2, '
     '"id_column": null, "key_bits": 512, "lam": 0.01, "lr": 0.1, '
     '"no_encryption": true, "repeats": 1, "seed": 0, '
-    '"synthetic_nodes": 50}\n'
+    '"sensitivity_mode": "per_neuron", "synthetic_nodes": 50}\n'
     "# inputs: synthetic\n"
     "gamma,auc_mean,auc_std,repeats\n"
-    "0.4,0.84,0.0,1\n").encode()
+    "0.4,0.63,0.0,1\n").encode()
 
 
 def test_graph_multi_epoch_csv_bytes(tmp_path):
@@ -331,8 +330,8 @@ def test_graph_multi_epoch_csv_bytes(tmp_path):
 
 
 def test_graph_config_file_setting_it_ignores_is_not_recorded(tmp_path):
-    cfg = tmp_path / "eps.cfg"
-    cfg.write_text("epsilon = 0.1\ncentral_epochs = 1\n")
+    cfg = tmp_path / "ignored.cfg"
+    cfg.write_text("folds = 2\ncentral_epochs = 1\n")
     out = tmp_path / "graph.csv"
     assert main(["graph", "--out", str(out), "--synthetic-nodes", "50",
                  "--gammas", "0.4", "--repeats", "1", "--dual-epochs", "3",
@@ -413,6 +412,46 @@ def test_graph_one_input_flag_alone_exits_2(tmp_path, capsys, flag):
     assert main(argv) == 2
     assert "--edges and --features" in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_graph_rejects_holdout_fraction_before_keygen(tmp_path, capsys,
+                                                      monkeypatch):
+    import mpdl.orchestrator
+    import mpdl.paillier
+    calls = Counter()
+    for owner in (mpdl.orchestrator, mpdl.paillier):
+        _count_calls(monkeypatch, owner, "keygen", calls)
+    out = tmp_path / "g.csv"
+    assert main(["graph", "--out", str(out), "--synthetic-nodes", "50",
+                 "--gammas", "0.4", "--repeats", "1", "--dual-epochs", "1",
+                 "--no-encryption", "--holdout-fraction", "0"]) == 2
+    assert "holdout fraction must be in (0, 1), got 0.0" in \
+        capsys.readouterr().err
+    assert calls["keygen"] == 0
+    assert not out.exists()
+
+
+def test_graph_repeat_runs_the_party_set_up_once(tmp_path, monkeypatch):
+    import mpdl.orchestrator
+    from mpdl.privacy import OneShotPerturber
+    calls = Counter()
+    _count_calls(monkeypatch, OneShotPerturber, "perturb", calls)
+    _count_calls(monkeypatch, mpdl.orchestrator, "blinded_intersection",
+                 calls)
+    assert main(["graph", "--out", str(tmp_path / "g.csv"),
+                 "--synthetic-nodes", "50", "--gammas", "0.4", "--repeats",
+                 "1", "--dual-epochs", "1", "--no-encryption"]) == 0
+    assert calls == {"perturb": 2, "blinded_intersection": 1}
 
 
 @pytest.mark.parametrize("fraction", ["0", "1.5"])

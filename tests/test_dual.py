@@ -15,7 +15,8 @@ from mpdl.dual import (DualModelPair, DualPartyState, dual_infer, dual_loss,
 from mpdl.nn import (backprop_from_output_grad, clip_global_norm, init_mlp,
                      loss_eval, mlp_forward, sgd_step)
 from mpdl.paillier import keygen
-from mpdl.transport import Hub, MessageKind
+from mpdl.transport import Hub, MessageKind, ProtocolError, pack_matrix, \
+    unpack_matrix
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,33 @@ def test_round_rejects_bad_inputs(keypairs):
         run_dual_round(state_a, state_b, [0], hub, random.Random(1),
                        grad_clip=-1.0)
     hub.close()
+
+
+@pytest.mark.parametrize("encrypted", [True, False])
+def test_round_rejects_a_cross_term_of_the_wrong_shape(keypairs, monkeypatch,
+                                                        encrypted):
+    # a (1, d) cross term would broadcast over the (6, d) plaintext part
+    codec = mpdl.dual._PaillierCodec if encrypted else mpdl.dual._ShadowCodec
+    original = codec.cross
+
+    def first_row(self, pk, sealed, mult):
+        if encrypted:
+            return original(self, pk, sealed, mult[:1])
+        # the shadow would broadcast a one-row multiplier back to 6 rows
+        return pack_matrix(unpack_matrix(
+            original(self, pk, sealed, mult))[:1])
+
+    monkeypatch.setattr(codec, "cross", first_row)
+    state_a, state_b = make_states(keypairs)
+    before = (state_a.model, state_b.model)
+    kind = "CipherBlock" if encrypted else "GradTerm"
+    hub = Hub()
+    with pytest.raises(ProtocolError, match=rf"^{kind} from B has shape "
+                                            r"\(1, 2\), expected \(6, 2\)$"):
+        run_dual_round(state_a, state_b, list(range(6)), hub,
+                       random.Random(3), use_encryption=encrypted)
+    hub.close()
+    assert state_a.model is before[0] and state_b.model is before[1]
 
 
 def test_round_accepts_swapped_argument_order(keypairs):

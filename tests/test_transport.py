@@ -127,6 +127,12 @@ def test_cipher_payload_round_trip():
         unpack_ciphers(payload[:-2])
 
 
+def test_cipher_payload_with_a_non_ascii_key_id_is_a_protocol_error():
+    payload = pack_ciphers("abcdef0123456789", 2 ** 40, 1, 1, (7,))
+    with pytest.raises(ProtocolError, match="key id"):
+        unpack_ciphers(b"\xff" * 16 + payload[16:])
+
+
 def test_token_payload_round_trip():
     tokens = (b"", b"\x00", b"abc", b"\xff" * 40)
     assert unpack_tokens(pack_tokens(tokens)) == tokens
