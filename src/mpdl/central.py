@@ -8,8 +8,9 @@ then updates its local layer from that delta and its own inputs.  The
 arithmetic is exactly that of the concatenated monolithic network, so
 split training loses nothing; ``to_monolithic`` exists to state that
 equivalence as a testable identity.  This module holds the per-site
-arithmetic only; ``orchestrator.split_train`` and ``split_predict``
-route it through a hub.
+arithmetic only: C's step takes the two partial sums and the labels
+and returns the one delta.  ``orchestrator.split_train`` and
+``split_predict`` route it through a hub.
 """
 
 from __future__ import annotations
@@ -69,11 +70,9 @@ class SplitCentralModel:
 
 
 def init_split_central(d_a: int, d_b: int, n_classes: int,
-                       rng: np.random.Generator,
-                       hidden: int | None = None) -> SplitCentralModel:
-    """Fresh split model; hidden width defaults to ceil((inputs+classes)/2)."""
-    if hidden is None:
-        hidden = dual_hidden_width(d_a + d_b, n_classes)
+                       rng: np.random.Generator) -> SplitCentralModel:
+    """Fresh split model of hidden width ceil((inputs + classes) / 2)."""
+    hidden = dual_hidden_width(d_a + d_b, n_classes)
     local_a = DenseLayer(glorot_uniform(hidden, d_a, rng), np.zeros(hidden),
                          "identity")
     local_b = DenseLayer(glorot_uniform(hidden, d_b, rng), np.zeros(hidden),
@@ -90,46 +89,34 @@ def party_forward(local: DenseLayer, x) -> np.ndarray:
     return xb @ local.weights.T + local.bias
 
 
-@dataclass(frozen=True)
-class CentralBatch:
-    """What C sees for one batch: the two partial sums and the labels."""
-
-    z_a: np.ndarray
-    z_b: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        za = as_batch(self.z_a)
-        zb = as_batch(self.z_b)
-        if za.shape != zb.shape:
-            raise ValueError("partial sums must share a shape")
-        if np.asarray(self.labels).shape != (za.shape[0],):
-            raise ValueError("labels must be one per row")
-
-
 class CentralStep(NamedTuple):
     loss: float
     central_grads: tuple[LayerGrad, ...]
-    delta_a: np.ndarray
-    delta_b: np.ndarray
+    delta: np.ndarray
 
 
-def central_forward_backward(model: SplitCentralModel,
-                             batch: CentralBatch) -> CentralStep:
+def central_forward_backward(model: SplitCentralModel, z_a, z_b,
+                             labels) -> CentralStep:
     """C's half-step: combine partial sums, classify, return the delta.
 
-    The returned delta is the loss gradient at the shared hidden
-    pre-activation and is identical for both parties.
+    C sees the two partial sums and one label per row.  The returned
+    delta is the loss gradient at the shared hidden pre-activation; both
+    parties receive it.
     """
-    z = batch.z_a + batch.z_b
+    z_a, z_b = as_batch(z_a), as_batch(z_b)
+    if z_a.shape != z_b.shape:
+        raise ValueError("partial sums must share a shape")
+    if np.asarray(labels).shape != (z_a.shape[0],):
+        raise ValueError("labels must be one per row")
+    z = z_a + z_b
     hidden = apply_activation(model.split_activation, z)
     probs, cache = mlp_forward(model.central, hidden)
-    targets = one_hot(batch.labels, model.n_classes)
+    targets = one_hot(labels, model.n_classes)
     loss, logit_grad = loss_eval("cross_entropy", probs, targets)
     grads, hidden_grad = backprop_from_output_grad(model.central, cache,
                                                    logit_grad)
     delta = hidden_grad * activation_prime(model.split_activation, z)
-    return CentralStep(loss, grads, delta, delta.copy())
+    return CentralStep(loss, grads, delta)
 
 
 def party_backward(local: DenseLayer, delta, x, lr: float) -> DenseLayer:

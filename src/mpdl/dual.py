@@ -35,6 +35,15 @@ from .paillier import CipherVector, KeyPair, PublicKey, SecretKey
 from .transport import Hub, MessageKind, ProtocolError, pack_ciphers, \
     pack_matrix, unpack_ciphers, unpack_matrix
 
+# Log-density differences are unbounded below once a generator output
+# leaves the support; an uncapped residual feeds back into the update and
+# diverges (and overflows the cipher encoding band).  Saturating it at
+# RESIDUAL_CLIP bounds the duality term's influence while preserving its
+# sign; within the cap the arithmetic is untouched.  Each generator's
+# update is clipped to global norm GRAD_CLIP.
+RESIDUAL_CLIP = 100.0
+GRAD_CLIP = 1.0
+
 
 @dataclass(frozen=True)
 class DualModelPair:
@@ -155,7 +164,16 @@ class _PaillierCodec:
                             *mult.shape, cts)
 
     def open(self, sk: SecretKey, payload: bytes) -> np.ndarray:
+        """Decrypt a cross term, which must be sealed under ``sk``'s key."""
         key_id, scale, rows, cols, cts = unpack_ciphers(payload)
+        pk = sk.public
+        if key_id != pk.key_id:
+            raise ProtocolError(f"{self.kind.name} is under key {key_id}, "
+                                f"expected {pk.key_id}")
+        n2 = pk.n_squared
+        if not all(0 < c < n2 for c in cts):
+            raise ProtocolError(f"{self.kind.name} under key {key_id} holds "
+                                f"a ciphertext outside (0, n^2)")
         return paillier.decrypt_vector(
             sk, CipherVector(cts, scale, key_id)).reshape(rows, cols)
 
@@ -178,13 +196,11 @@ class _ShadowCodec:
 class _RoundHalf:
     """One party's bookkeeping while a round is in flight."""
 
-    def __init__(self, state: DualPartyState, batch_ids: tuple,
-                 factor: float, residual_clip: float):
+    def __init__(self, state: DualPartyState, batch_ids: tuple, factor: float):
         self.state = state
         self.batch_ids = batch_ids
         self.batch = batch = state.store.rows(batch_ids)
         self.factor = factor
-        self.residual_clip = residual_clip
         self.out, self.cache = mlp_forward(state.model, batch)
         # filled in as the round's messages arrive; partner_resid is the
         # payload the partner sealed its residual into
@@ -204,14 +220,7 @@ class _RoundHalf:
         logp_xhat = log_density_batch(s.kde, xhat)
         logp_x = s.own_log_density(self.batch_ids)
         grad_logp = grad_log_density_batch(s.kde, xhat)
-        # Log-density differences are unbounded below once a generator
-        # output leaves the support; an uncapped residual feeds back
-        # into the update and diverges (and overflows the cipher
-        # encoding band).  Saturating it bounds the duality term's
-        # influence while preserving its sign; within the cap the
-        # arithmetic is untouched.
-        own_resid = np.clip(logp_xhat - logp_x, -self.residual_clip,
-                            self.residual_clip)
+        own_resid = np.clip(logp_xhat - logp_x, -RESIDUAL_CLIP, RESIDUAL_CLIP)
         plain_part = align_grad + s.lam * self.factor * grad_logp * \
             own_resid[:, None] / xhat.shape[0]
         cross_mult = s.lam * self.factor * grad_logp / xhat.shape[0]
@@ -222,9 +231,7 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
                    batch_ids, hub: Hub, rng,
                    use_encryption: bool = True,
                    exact_duality_grad: bool = False,
-                   round_tag: int | None = None,
-                   residual_clip: float = 100.0,
-                   grad_clip: float = 1.0) -> DualRoundResult:
+                   round_tag: int | None = None) -> DualRoundResult:
     """One minibatch of joint dual training over the co-occurring ids.
 
     Exactly eight directed messages cross the hub, in the fixed order
@@ -247,10 +254,8 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     if not batch_ids:
         raise ValueError("empty minibatch")
     factor = 2.0 if exact_duality_grad else 1.0
-    if not residual_clip > 0.0 or not grad_clip > 0.0:
-        raise ValueError("residual_clip and grad_clip must be positive")
     codec = _PaillierCodec(rng) if use_encryption else _ShadowCodec()
-    halves = {st.name: _RoundHalf(st, batch_ids, factor, residual_clip)
+    halves = {st.name: _RoundHalf(st, batch_ids, factor)
               for st in (state_a, state_b)}
 
     # (1-2) A -> B: xhat_B = f(x_A), then B -> A: xhat_A = g(x_B)
@@ -298,7 +303,7 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     for half in halves.values():
         grads = clip_global_norm(backprop_from_output_grad(
             half.state.model, half.cache,
-            half.plain_in + half.cross_in).layer_grads, grad_clip)
+            half.plain_in + half.cross_in).layer_grads, GRAD_CLIP)
         half.state.model = sgd_step(half.state.model, grads, half.state.lr)
 
     return DualRoundResult(DualModelPair(state_a.model, state_b.model),

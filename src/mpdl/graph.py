@@ -227,7 +227,7 @@ def link_prediction_auc(pair: DualModelPair, adj, feat_a, feat_b, has_a,
     return link_auc(cosine_scores(reps, pairs), truth)
 
 
-def _node_features(store: PartyDataset, ids):
+def node_features(store: PartyDataset, ids):
     """``store``'s rows over ``ids``, zero where it has none, and its mask."""
     has = np.array([i in store.index for i in ids])
     feat = np.zeros((len(ids), store.features.shape[1]))
@@ -253,8 +253,8 @@ def link_prediction_repeats(ds: PartyDataset, adj, config: MpdlConfig,
         try:
             setup = setup_parties(data, run, hub)
             setup.train_generators(hub, run)
-            feat_a, has_a = _node_features(setup.state_a.store, ds.ids)
-            feat_b, has_b = _node_features(setup.state_b.store, ds.ids)
+            feat_a, has_a = node_features(setup.state_a.store, ds.ids)
+            feat_b, has_b = node_features(setup.state_b.store, ds.ids)
             pair = DualModelPair(setup.state_a.model, setup.state_b.model)
             aucs.append(link_prediction_auc(
                 pair, adj, feat_a, feat_b, has_a, has_b, holdout_fraction,

@@ -31,7 +31,7 @@ from random import Random
 import numpy as np
 
 from .central import SplitCentralModel, central_forward_backward, \
-    CentralBatch, init_split_central, party_backward, party_forward
+    init_split_central, party_backward, party_forward
 from .data import GammaSplit, PartyDataset, SplitSpec, \
     blinded_intersection, id_token, kfold_split, partition_features, \
     split_by_gamma
@@ -173,15 +173,11 @@ def _labels_to_c(hub: Hub, party_b: PartyDataset) -> dict:
 
 def _partial_sums(hub: Hub, model: SplitCentralModel, x_a, x_b):
     """A and B ship their first-layer partial sums; C receives both."""
-    # both sends before either receive, not two Hub.exchange calls: the
-    # interleaved order measured a higher peak RSS on long split runs
-    hub.send("A", "C", MessageKind.PartialSum,
-             pack_matrix(party_forward(model.local_a, x_a)))
-    hub.send("B", "C", MessageKind.PartialSum,
-             pack_matrix(party_forward(model.local_b, x_b)))
-    z_a = unpack_matrix(hub.recv("C", "A", MessageKind.PartialSum).payload)
-    z_b = unpack_matrix(hub.recv("C", "B", MessageKind.PartialSum).payload)
-    return z_a, z_b
+    z_a = hub.exchange("A", "C", MessageKind.PartialSum,
+                       pack_matrix(party_forward(model.local_a, x_a)))
+    z_b = hub.exchange("B", "C", MessageKind.PartialSum,
+                       pack_matrix(party_forward(model.local_b, x_b)))
+    return unpack_matrix(z_a.payload), unpack_matrix(z_b.payload)
 
 
 def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
@@ -202,18 +198,12 @@ def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
             idx = order[start:start + batch_size]
             xa, xb = x_a[idx], x_b[idx]
             z_a, z_b = _partial_sums(hub, model, xa, xb)
-            step = central_forward_backward(
-                model, CentralBatch(z_a, z_b, labels[idx]))
+            step = central_forward_backward(model, z_a, z_b, labels[idx])
             new_central = sgd_step(model.central, step.central_grads, lr)
-            # both sends before either receive, as in _partial_sums
-            hub.send("C", "A", MessageKind.DeltaError,
-                     pack_matrix(step.delta_a))
-            hub.send("C", "B", MessageKind.DeltaError,
-                     pack_matrix(step.delta_b))
-            delta_a = unpack_matrix(hub.recv("A", "C",
-                                             MessageKind.DeltaError).payload)
-            delta_b = unpack_matrix(hub.recv("B", "C",
-                                             MessageKind.DeltaError).payload)
+            delta = pack_matrix(step.delta)
+            delta_a, delta_b = (unpack_matrix(hub.exchange(
+                "C", party, MessageKind.DeltaError, delta).payload)
+                for party in ("A", "B"))
             model = SplitCentralModel(
                 party_backward(model.local_a, delta_a, xa, lr),
                 party_backward(model.local_b, delta_b, xb, lr),
@@ -233,14 +223,15 @@ def split_predict(hub: Hub, model: SplitCentralModel, x_a,
 def train_dual_generators(state_a: DualPartyState, state_b: DualPartyState,
                           ids, hub: Hub, epochs: int, batch_size: int,
                           order_rng: np.random.Generator, protocol_rng,
-                          first_tag: int = 0, **round_settings) -> int:
+                          first_tag: int = 0, use_encryption: bool = True,
+                          exact_duality_grad: bool = False) -> int:
     """Train both generators for ``epochs`` passes over the aligned ids.
 
     Each epoch draws one permutation of ``ids`` from ``order_rng`` and
     runs one ``run_dual_round`` per consecutive ``batch_size`` slice of
-    it, with ``protocol_rng`` and ``round_settings`` (the round's
-    encryption, gradient and clip keywords).  Rounds are tagged
-    ``first_tag``, ``first_tag + 1``, ...; the next free tag is returned.
+    it, with ``protocol_rng`` and the round's encryption and gradient
+    settings.  Rounds are tagged ``first_tag``, ``first_tag + 1``, ...;
+    the next free tag is returned.
     """
     tag = first_tag
     for _ in range(epochs):
@@ -248,7 +239,9 @@ def train_dual_generators(state_a: DualPartyState, state_b: DualPartyState,
         for start in range(0, len(ids), batch_size):
             batch = [ids[k] for k in order[start:start + batch_size]]
             run_dual_round(state_a, state_b, batch, hub, protocol_rng,
-                           round_tag=tag, **round_settings)
+                           use_encryption=use_encryption,
+                           exact_duality_grad=exact_duality_grad,
+                           round_tag=tag)
             tag += 1
     return tag
 
@@ -260,6 +253,9 @@ def mpdl_train(data: PreparedExperiment, config: MpdlConfig,
     Without a ``hub`` the run opens its own, which the result carries
     open (``result.hub``) and which is closed if the run raises.
     """
+    if not data.split.test:
+        raise ValueError("the test block is empty: mpdl_train scores both "
+                         "central models on it")
     if hub is not None:
         return _run_lifecycle(data, config, hub)
     hub = Hub()

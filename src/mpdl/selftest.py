@@ -192,8 +192,8 @@ def encrypted_dual_round_matches_plaintext():
 
 @_check
 def split_training_equals_monolithic():
-    from .central import CentralBatch, central_forward_backward, \
-        init_split_central, one_hot, party_forward, to_monolithic
+    from .central import central_forward_backward, init_split_central, \
+        one_hot, party_forward, to_monolithic
     from .nn import backprop_from_output_grad, loss_eval, mlp_forward, \
         sgd_step
     from .orchestrator import split_train
@@ -211,9 +211,9 @@ def split_training_equals_monolithic():
     hub.close()
     order = np.random.default_rng(0).permutation(10)
     xa, xb, labels = xa[order], xb[order], labels[order]
-    loss = central_forward_backward(model, CentralBatch(
-        party_forward(model.local_a, xa), party_forward(model.local_b, xb),
-        labels)).loss
+    loss = central_forward_backward(
+        model, party_forward(model.local_a, xa),
+        party_forward(model.local_b, xb), labels).loss
 
     mono = to_monolithic(model)
     x = np.hstack([xa, xb])

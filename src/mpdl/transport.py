@@ -7,7 +7,9 @@ A, B and C, one per directed pair, assigns globally monotone message
 ids to the frames its channels accept, and keeps each such frame once
 in a transcript (a send that raises leaves no trace); messages are
 decoded on access.  ``Hub.exchange`` is one delivery: a send, then the
-receiver taking that message before anything else is sent.
+receiver taking that message before anything else is sent; every other
+module delivers each of its messages this way and never calls
+``Hub.send`` or ``Hub.recv`` itself.
 Transcripts are the audit surface: boundary checks are declarative
 predicates evaluated over them after a protocol run.
 

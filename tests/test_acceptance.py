@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from mpdl.central import (CentralBatch, central_forward_backward,
-                          init_split_central, one_hot, party_forward,
-                          to_monolithic)
+from mpdl.central import (central_forward_backward, init_split_central,
+                          one_hot, party_forward, to_monolithic)
 from mpdl.data import (PartyDataset, SplitSpec, blinded_intersection,
                        partition_features, split_by_gamma)
 from mpdl.density import fit_kde, grad_log_density_batch, log_density_batch
@@ -240,6 +239,8 @@ def test_criterion_05_gradients_match_finite_differences(monkeypatch):
             return backprop_from_output_grad(model, cache, out_grad)
 
         monkeypatch.setattr("mpdl.dual.backprop_from_output_grad", capture)
+        monkeypatch.setattr("mpdl.dual.RESIDUAL_CLIP", 1e9)
+        monkeypatch.setattr("mpdl.dual.GRAD_CLIP", 1e9)
         worst_dual = 0.0
         for inst in range(20):
             state_a, state_b, batch = _dual_round_instance(5000 + inst,
@@ -261,8 +262,7 @@ def test_criterion_05_gradients_match_finite_differences(monkeypatch):
 
             hub = Hub()
             run_dual_round(state_a, state_b, batch, hub, random.Random(inst),
-                           use_encryption=False, exact_duality_grad=True,
-                           residual_clip=1e9, grad_clip=1e9)
+                           use_encryption=False, exact_duality_grad=True)
             hub.close()
             analytic = captured[id(f)]  # A's output gradient, over xhat_B
             for i in range(len(batch)):
@@ -279,21 +279,20 @@ def test_criterion_05_gradients_match_finite_differences(monkeypatch):
         worst_central = 0.0
         for inst in range(20):
             rng = np.random.default_rng(6000 + inst)
-            model = init_split_central(3, 2, 3, rng, hidden=4)
+            model = init_split_central(3, 2, 3, rng)
             x_a = rng.uniform(-1.0, 1.0, size=(5, 3))
             x_b = rng.uniform(-1.0, 1.0, size=(5, 2))
             labels = rng.integers(0, 3, size=5)
 
             def loss_of(m):
-                batch = CentralBatch(party_forward(m.local_a, x_a),
-                                     party_forward(m.local_b, x_b), labels)
-                return central_forward_backward(m, batch).loss
+                return central_forward_backward(
+                    m, party_forward(m.local_a, x_a),
+                    party_forward(m.local_b, x_b), labels).loss
 
             step = central_forward_backward(
-                model, CentralBatch(party_forward(model.local_a, x_a),
-                                    party_forward(model.local_b, x_b),
-                                    labels))
-            delta = step.delta_a
+                model, party_forward(model.local_a, x_a),
+                party_forward(model.local_b, x_b), labels)
+            delta = step.delta
             analytic_parts = [
                 ("wa", delta.T @ x_a), ("ba", delta.sum(axis=0)),
                 ("wb", delta.T @ x_b), ("bb", delta.sum(axis=0)),

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from mpdl.central import (CentralBatch, SplitCentralModel,
-                          central_forward_backward, init_split_central,
-                          one_hot, party_backward, party_forward,
-                          to_monolithic)
+from mpdl.central import (SplitCentralModel, central_forward_backward,
+                          init_split_central, one_hot, party_backward,
+                          party_forward, to_monolithic)
 from mpdl.nn import (DenseLayer, Mlp, backprop_from_output_grad, init_mlp,
                      loss_eval, mlp_forward, sgd_step)
 from mpdl.orchestrator import split_predict, split_train
-from mpdl.transport import Hub
+from mpdl.transport import Hub, MessageKind, unpack_matrix
 
 
 @pytest.fixture
@@ -20,9 +19,9 @@ def hub():
     h.close()
 
 
-def make_model(d_a=3, d_b=4, n_classes=2, seed=0, hidden=None):
+def make_model(d_a=3, d_b=4, n_classes=2, seed=0):
     return init_split_central(d_a, d_b, n_classes,
-                              np.random.default_rng(seed), hidden=hidden)
+                              np.random.default_rng(seed))
 
 
 def make_batch(model, n=16, seed=1):
@@ -94,20 +93,35 @@ def test_uniform_probs_give_ln2_loss():
                               "softmax"),))
     model = SplitCentralModel(zero_a, zero_b, central)
     x_a, x_b, labels = make_batch(model)
-    step = central_forward_backward(
-        model, CentralBatch(party_forward(model.local_a, x_a),
-                            party_forward(model.local_b, x_b), labels))
+    step = central_forward_backward(model, party_forward(model.local_a, x_a),
+                                    party_forward(model.local_b, x_b), labels)
     assert step.loss == pytest.approx(np.log(2.0), rel=1e-12)
 
 
-def test_delta_shared_by_both_parties():
+def test_delta_shared_by_both_parties(hub):
     model = make_model()
     x_a, x_b, labels = make_batch(model)
+    split_train(hub, model, x_a, x_b, labels, lr=0.1, epochs=1,
+                batch_size=16, rng=np.random.default_rng(0))
+    order = np.random.default_rng(0).permutation(16)
     step = central_forward_backward(
-        model, CentralBatch(party_forward(model.local_a, x_a),
-                            party_forward(model.local_b, x_b), labels))
-    assert np.array_equal(step.delta_a, step.delta_b)
-    assert step.delta_a is not step.delta_b  # parties get private copies
+        model, party_forward(model.local_a, x_a[order]),
+        party_forward(model.local_b, x_b[order]), labels[order])
+    sent = [m for m in hub.transcript if m.kind == MessageKind.DeltaError]
+    assert [(m.sender, m.receiver) for m in sent] == [("C", "A"), ("C", "B")]
+    assert sent[0].payload == sent[1].payload
+    assert np.array_equal(unpack_matrix(sent[0].payload), step.delta)
+
+
+def test_central_step_rejects_mismatched_inputs():
+    model = make_model()
+    x_a, x_b, labels = make_batch(model)
+    z_a = party_forward(model.local_a, x_a)
+    z_b = party_forward(model.local_b, x_b)
+    with pytest.raises(ValueError, match="partial sums must share a shape"):
+        central_forward_backward(model, z_a, z_b[:-1], labels[:-1])
+    with pytest.raises(ValueError, match="labels must be one per row"):
+        central_forward_backward(model, z_a, z_b, labels[:-1])
 
 
 def test_zero_loss_gives_zero_delta():
@@ -123,12 +137,11 @@ def test_zero_loss_gives_zero_delta():
     x_a = np.full((4, 3), 0.5)
     x_b = np.full((4, 4), 0.5)
     labels = np.zeros(4, dtype=int)
-    step = central_forward_backward(
-        model, CentralBatch(party_forward(model.local_a, x_a),
-                            party_forward(model.local_b, x_b), labels))
+    step = central_forward_backward(model, party_forward(model.local_a, x_a),
+                                    party_forward(model.local_b, x_b), labels)
     assert step.loss < 1e-10
-    assert np.max(np.abs(step.delta_a)) < 1e-12
-    updated = party_backward(model.local_a, step.delta_a, x_a, lr=0.5)
+    assert np.max(np.abs(step.delta)) < 1e-12
+    updated = party_backward(model.local_a, step.delta, x_a, lr=0.5)
     assert np.allclose(updated.weights, model.local_a.weights, atol=1e-12)
 
 
@@ -164,9 +177,8 @@ def test_single_step_matches_monolithic(hub):
                           batch_size=20, rng=np.random.default_rng(0))
     order = np.random.default_rng(0).permutation(20)
     split_loss = central_forward_backward(
-        model, CentralBatch(party_forward(model.local_a, x_a[order]),
-                            party_forward(model.local_b, x_b[order]),
-                            labels[order])).loss
+        model, party_forward(model.local_a, x_a[order]),
+        party_forward(model.local_b, x_b[order]), labels[order]).loss
     mono_stepped, mono_loss = monolithic_step(
         mono, np.hstack([x_a, x_b])[order], labels[order], model.n_classes,
         0.3)

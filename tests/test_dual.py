@@ -15,8 +15,8 @@ from mpdl.dual import (DualModelPair, DualPartyState, dual_infer, dual_loss,
 from mpdl.nn import (backprop_from_output_grad, clip_global_norm, init_mlp,
                      loss_eval, mlp_forward, sgd_step)
 from mpdl.paillier import keygen
-from mpdl.transport import Hub, MessageKind, ProtocolError, pack_matrix, \
-    unpack_matrix
+from mpdl.transport import Hub, MessageKind, ProtocolError, pack_ciphers, \
+    pack_matrix, unpack_ciphers, unpack_matrix
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,8 @@ def test_dual_output_grad_matches_finite_differences(keypairs, monkeypatch):
         return backprop_from_output_grad(model, cache, out_grad)
 
     monkeypatch.setattr(mpdl.dual, "backprop_from_output_grad", capture)
+    monkeypatch.setattr(mpdl.dual, "RESIDUAL_CLIP", 1e9)
+    monkeypatch.setattr(mpdl.dual, "GRAD_CLIP", 1e9)
     eps = 1e-6
     checked = 0
     for trial in range(20):
@@ -149,8 +151,7 @@ def test_dual_output_grad_matches_finite_differences(keypairs, monkeypatch):
         models = (state_a.model, state_b.model)
         hub = Hub()
         run_dual_round(state_a, state_b, batch, hub, random.Random(trial),
-                       use_encryption=False, exact_duality_grad=True,
-                       residual_clip=1e9, grad_clip=1e9)
+                       use_encryption=False, exact_duality_grad=True)
         hub.close()
         for model, xhat, composite in ((models[0], xhat_b, composite_b),
                                        (models[1], xhat_a, composite_a)):
@@ -198,13 +199,6 @@ def test_round_rejects_bad_inputs(keypairs):
     state_a.name = "Q"
     with pytest.raises(ValueError):
         run_dual_round(state_a, state_b, [0], hub, random.Random(1))
-    state_a.name = "A"
-    with pytest.raises(ValueError):
-        run_dual_round(state_a, state_b, [0], hub, random.Random(1),
-                       residual_clip=0.0)
-    with pytest.raises(ValueError):
-        run_dual_round(state_a, state_b, [0], hub, random.Random(1),
-                       grad_clip=-1.0)
     hub.close()
 
 
@@ -233,6 +227,52 @@ def test_round_rejects_a_cross_term_of_the_wrong_shape(keypairs, monkeypatch,
                        random.Random(3), use_encryption=encrypted)
     hub.close()
     assert state_a.model is before[0] and state_b.model is before[1]
+
+
+def _encrypted_round_with_cross(keypairs, monkeypatch, tamper):
+    """Run one encrypted round whose cross terms pass through ``tamper``."""
+    original = mpdl.dual._PaillierCodec.cross
+
+    def tampered(self, pk, sealed, mult):
+        key_id, scale, rows, cols, cts = unpack_ciphers(
+            original(self, pk, sealed, mult))
+        return pack_ciphers(*tamper(key_id, scale, rows, cols, cts))
+
+    monkeypatch.setattr(mpdl.dual._PaillierCodec, "cross", tampered)
+    state_a, state_b = make_states(keypairs)
+    hub = Hub()
+    try:
+        run_dual_round(state_a, state_b, list(range(6)), hub,
+                       random.Random(3))
+    finally:
+        hub.close()
+
+
+def test_round_rejects_a_cross_term_under_another_key(keypairs, monkeypatch):
+    keys_a, keys_b = keypairs
+    # the cross term for B is sealed under B's key; relabel it as A's
+    swap = {keys_b.public.key_id: keys_a.public.key_id,
+            keys_a.public.key_id: keys_b.public.key_id}
+    with pytest.raises(ProtocolError,
+                       match=rf"^CipherBlock is under key "
+                             rf"{keys_a.public.key_id}, expected "
+                             rf"{keys_b.public.key_id}$"):
+        _encrypted_round_with_cross(
+            keypairs, monkeypatch,
+            lambda kid, *rest: (swap[kid], *rest))
+
+
+def test_round_rejects_a_zero_ciphertext_in_a_cross_term(keypairs,
+                                                         monkeypatch):
+    _, keys_b = keypairs
+    with pytest.raises(ProtocolError,
+                       match=rf"^CipherBlock under key "
+                             rf"{keys_b.public.key_id} holds a ciphertext "
+                             r"outside \(0, n\^2\)$"):
+        _encrypted_round_with_cross(
+            keypairs, monkeypatch,
+            lambda kid, scale, rows, cols, cts: (kid, scale, rows, cols,
+                                                 (0,) + cts[1:]))
 
 
 def test_round_accepts_swapped_argument_order(keypairs):

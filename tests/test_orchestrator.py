@@ -95,6 +95,19 @@ def test_prepare_experiment_structure(world):
     assert world.n_classes == 2
 
 
+def test_empty_test_block_is_rejected_before_keygen(monkeypatch):
+    import mpdl.orchestrator
+    calls = []
+    original = mpdl.orchestrator.keygen
+    monkeypatch.setattr(mpdl.orchestrator, "keygen",
+                        lambda *a: (calls.append(a), original(*a))[1])
+    world = prepare_experiment(linear_task(60, 2, 2, seed=1), gamma=0.3,
+                               seed=1, test_fraction=0.0)
+    with pytest.raises(ValueError, match="the test block is empty"):
+        mpdl_train(world, MpdlConfig(gamma=0.3, **FAST))
+    assert calls == []
+
+
 def test_prepare_experiment_requires_labels():
     ds = linear_task(50, 2, 2, seed=0)
     unlabeled = type(ds)(ds.ids, ds.features, None)
@@ -219,8 +232,7 @@ def test_train_dual_generators_tags_each_round(keypairs):
 
 
 def test_train_dual_generators_matches_an_inline_loop(keypairs):
-    settings = dict(use_encryption=False, exact_duality_grad=True,
-                    residual_clip=3.0, grad_clip=0.5)
+    settings = dict(use_encryption=False, exact_duality_grad=True)
     state_a, state_b, ids = _dual_states(keypairs)
     hub = Hub()
     try:

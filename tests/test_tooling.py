@@ -1,10 +1,13 @@
-"""The test configuration itself: a failing test must not stop the run."""
+"""The test configuration itself: a failing test must not stop the run;
+and rules about the package's source that no single module test sees."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, strategies as st
@@ -32,3 +35,18 @@ def test_failing_hypothesis_test_leaves_the_rest_of_the_run_going(tmp_path):
     assert "INTERNALERROR" not in out.stdout + out.stderr
     assert out.returncode == 1, out.stdout[-2000:]
     assert "1 failed, 1 passed" in out.stdout
+
+
+def test_only_transport_sends_or_receives_on_a_hub():
+    # every delivery outside the transport goes through Hub.exchange, so a
+    # message is taken by its receiver before the next one is sent
+    calls = []
+    for path in sorted((ROOT / "src" / "mpdl").glob("*.py")):
+        if path.name == "transport.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in ("send", "recv"):
+                calls.append(f"{path.name}:{node.lineno} .{node.func.attr}(")
+    assert calls == []
