@@ -11,10 +11,10 @@ under additively homomorphic encryption.
 from .central import SplitCentralModel, central_forward_backward, \
     init_split_central, one_hot, party_backward, party_forward, to_monolithic
 from .data import FeatureSplit, GammaSplit, PartyDataset, SplitSpec, \
-    blinded_intersection, kfold_split, load_idx, load_normalize, \
+    blinded_intersection, kfold_split, load_normalize, \
     min_max_normalize, partition_features, split_by_gamma
-from .density import KdeModel, bandwidth_rule, fit_kde, grad_log_density, \
-    grad_log_density_batch, log_density, log_density_batch
+from .density import KdeModel, bandwidth_rule, fit_kde, \
+    grad_log_density_batch, log_density_batch
 from .dual import DualModelPair, DualPartyState, DualRoundTranscript, \
     dual_infer, dual_loss, run_dual_round
 from .graph import complete_feature_matrix, confusion_protocol, link_auc, \

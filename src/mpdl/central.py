@@ -24,6 +24,9 @@ from .nn import DenseLayer, LayerGrad, Mlp, activation_prime, \
     apply_activation, as_batch, backprop_from_output_grad, dual_hidden_width, \
     glorot_uniform, init_mlp, loss_eval, mlp_forward
 
+# C applies this to the recombined partial sums before its own layers.
+SPLIT_ACTIVATION = "relu"
+
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
     lab = np.asarray(labels, dtype=np.int64)
@@ -39,15 +42,14 @@ class SplitCentralModel:
     """Party-held affine slices plus the collaborator-held remainder.
 
     ``local_a``/``local_b`` must use identity activation: their outputs
-    are partial sums of the first hidden layer, and C applies the
-    ``split_activation`` to the recombined sum before its own layers.
+    are partial sums of the first hidden layer, and C applies
+    ``SPLIT_ACTIVATION`` to the recombined sum before its own layers.
     The central network ends in softmax.
     """
 
     local_a: DenseLayer
     local_b: DenseLayer
     central: Mlp
-    split_activation: str = "relu"
 
     def __post_init__(self):
         if self.local_a.activation != "identity" or \
@@ -109,13 +111,13 @@ def central_forward_backward(model: SplitCentralModel, z_a, z_b,
     if np.asarray(labels).shape != (z_a.shape[0],):
         raise ValueError("labels must be one per row")
     z = z_a + z_b
-    hidden = apply_activation(model.split_activation, z)
+    hidden = apply_activation(SPLIT_ACTIVATION, z)
     probs, cache = mlp_forward(model.central, hidden)
     targets = one_hot(labels, model.n_classes)
     loss, logit_grad = loss_eval("cross_entropy", probs, targets)
     grads, hidden_grad = backprop_from_output_grad(model.central, cache,
                                                    logit_grad)
-    delta = hidden_grad * activation_prime(model.split_activation, z)
+    delta = hidden_grad * activation_prime(SPLIT_ACTIVATION, z)
     return CentralStep(loss, grads, delta)
 
 
@@ -142,5 +144,5 @@ def to_monolithic(model: SplitCentralModel) -> Mlp:
     first = DenseLayer(np.hstack([model.local_a.weights,
                                   model.local_b.weights]),
                        model.local_a.bias + model.local_b.bias,
-                       model.split_activation)
+                       SPLIT_ACTIVATION)
     return Mlp((first,) + model.central.layers)

@@ -31,7 +31,8 @@ import numpy as np
 
 from .data import PartyDataset, load_normalize
 from .graph import check_holdout_fraction, link_prediction_repeats
-from .orchestrator import MpdlConfig, mpdl_train, prepare_experiment
+from .orchestrator import TEST_FRACTION, MpdlConfig, mpdl_train, \
+    prepare_experiment
 from .privacy import SENSITIVITY_MODES
 from .transport import ProtocolError
 
@@ -43,9 +44,9 @@ DEFAULTS = {f.name: f.default for f in dataclasses.fields(MpdlConfig)
             if f.default is not dataclasses.MISSING
             and f.name != "use_encryption"}
 DEFAULTS.update(gamma=0.1, gammas="0.05,0.1,0.2,0.4,0.6,0.8",
-                epsilons="0.1,0.5,1,2,inf", test_fraction=0.1, repeats=3,
-                holdout_fraction=0.2, synthetic_nodes=150, id_column=None,
-                label_column="label", no_encryption=False)
+                epsilons="0.1,0.5,1,2,inf", test_fraction=TEST_FRACTION,
+                repeats=3, holdout_fraction=0.2, synthetic_nodes=150,
+                id_column=None, label_column="label", no_encryption=False)
 
 _TRAINING = ("seed", "repeats", "id_column", "label_column", "test_fraction",
              "sensitivity_mode", "lam", "lr", "folds", "threshold",
@@ -78,7 +79,11 @@ def parse_float(text: str) -> float:
 
 
 def parse_list(text: str) -> list[float]:
-    return [parse_float(part) for part in text.split(",") if part.strip()]
+    """Comma-separated numbers; a list with none is an error."""
+    values = [parse_float(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"expected at least one value, got {text!r}")
+    return values
 
 
 def parse_bool(text: str) -> bool:
@@ -193,11 +198,12 @@ def _run_batch(ds, settings: dict, gamma: float, epsilon: float):
 
 def cmd_mpdl(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
-    ds = load_dataset(settings, args.dataset)
     if args.gamma is not None:
         settings["gammas"] = repr(args.gamma)
+    gammas = parse_list(settings["gammas"])
+    ds = load_dataset(settings, args.dataset)
     rows = []
-    for gamma in parse_list(settings["gammas"]):
+    for gamma in gammas:
         stats = _run_batch(ds, settings, gamma, settings["epsilon"])
         for method, key in (("joint_T", "accuracy_joint"),
                             ("dual_T", "accuracy_dual"),
@@ -212,9 +218,10 @@ def cmd_mpdl(args: argparse.Namespace) -> int:
 
 def cmd_privacy_sweep(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
+    epsilons = parse_list(settings["epsilons"])
     ds = load_dataset(settings, args.dataset)
     rows = []
-    for epsilon in parse_list(settings["epsilons"]):
+    for epsilon in epsilons:
         stats = _run_batch(ds, settings, settings["gamma"], epsilon)
         acc_mean, acc_std = stats["accuracy_dual"]
         mae_mean, mae_std = stats["inference_mae"]
@@ -228,6 +235,7 @@ def cmd_privacy_sweep(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
+    gammas = parse_list(settings["gammas"])
     if bool(args.edges) != bool(args.features):
         raise ValueError("--edges and --features must be given together")
     if args.edges:
@@ -259,7 +267,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         input_hash = "synthetic"
 
     rows = []
-    for gamma in parse_list(settings["gammas"]):
+    for gamma in gammas:
         config = build_config(settings, gamma, settings["epsilon"],
                               settings["seed"])
         aucs = link_prediction_repeats(ds, adj, config, settings["repeats"],

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import hmac
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -139,27 +138,6 @@ def load_normalize(path, id_column: str | None = None,
     return PartyDataset(ids, feats, labels)
 
 
-def load_idx(path) -> np.ndarray:
-    """Parse a big-endian IDX file into a (count, features) float matrix."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 or raw[0] or raw[1]:
-        raise ValueError(f"{path}: bad IDX magic")
-    dtype_code, ndims = raw[2], raw[3]
-    dtypes = {0x08: (">u1", 1), 0x09: (">i1", 1), 0x0B: (">i2", 2),
-              0x0C: (">i4", 4), 0x0D: (">f4", 4), 0x0E: (">f8", 8)}
-    if dtype_code not in dtypes:
-        raise ValueError(f"{path}: unknown IDX dtype 0x{dtype_code:02x}")
-    dtype, width = dtypes[dtype_code]
-    dims = struct.unpack_from(f">{ndims}I", raw, 4)
-    offset = 4 + 4 * ndims
-    count = int(np.prod(dims))
-    if len(raw) - offset != count * width:
-        raise ValueError(f"{path}: IDX size mismatch")
-    data = np.frombuffer(raw, dtype=dtype, offset=offset).astype(np.float64)
-    return data.reshape(dims[0], -1) if ndims > 1 else data.reshape(-1, 1)
-
-
 # -- vertical feature partition ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -179,24 +157,15 @@ class FeatureSplit:
         return full
 
 
-def partition_features(ds: PartyDataset, assignment=None,
+def partition_features(ds: PartyDataset,
                        seed: int | None = None) -> FeatureSplit:
-    """Split feature columns between A and B; labels stay with B.
-
-    ``assignment`` is a per-column sequence of "A"/"B" tags; when
-    omitted, a seeded random half/half split is drawn.
-    """
+    """Split feature columns between A and B by a seeded random half/half
+    draw; labels stay with B."""
     n_cols = ds.features.shape[1]
-    if assignment is None:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(n_cols)
-        to_b = set(order[:n_cols // 2])
-        assignment = ["B" if i in to_b else "A" for i in range(n_cols)]
-    assignment = list(assignment)
-    if len(assignment) != n_cols or set(assignment) - {"A", "B"}:
-        raise ValueError("assignment must tag every column A or B")
-    cols_a = tuple(i for i, t in enumerate(assignment) if t == "A")
-    cols_b = tuple(i for i, t in enumerate(assignment) if t == "B")
+    rng = np.random.default_rng(seed)
+    to_b = set(rng.permutation(n_cols)[:n_cols // 2])
+    cols_a = tuple(i for i in range(n_cols) if i not in to_b)
+    cols_b = tuple(i for i in range(n_cols) if i in to_b)
     if not cols_a or not cols_b:
         raise ValueError("both parties need at least one feature column")
     return FeatureSplit(
@@ -212,8 +181,8 @@ class SplitSpec:
     """Co-occurrence fraction gamma, test fraction, and the shuffle seed."""
 
     gamma: float
-    test_fraction: float = 0.1
-    seed: int = 0
+    test_fraction: float
+    seed: int
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -272,21 +241,26 @@ def kfold_split(ids, k: int, seed: int = 0) -> list[tuple]:
 
 # -- blinded entity alignment --------------------------------------------------
 
-def id_token(key: bytes, identifier, nbytes: int) -> bytes:
-    """Keyed hash of an id's repr, truncated to ``nbytes``."""
+# Tokens are whole SHA-256 digests; a round whose tokens collide is
+# redrawn with a fresh salt, at most ALIGN_ATTEMPTS rounds in all.
+DIGEST_BYTES = 32
+ALIGN_ATTEMPTS = 3
+
+
+def id_token(key: bytes, identifier) -> bytes:
+    """Keyed hash of an id's repr, truncated to ``DIGEST_BYTES``."""
     return hmac.new(key, repr(identifier).encode("utf-8"),
-                    hashlib.sha256).digest()[:nbytes]
+                    hashlib.sha256).digest()[:DIGEST_BYTES]
 
 
 def _xor(token: bytes, mask: bytes) -> bytes:
-    # Tokens and masks are both ``digest_bytes`` long.
+    # Tokens and masks are both ``DIGEST_BYTES`` long.
     return (int.from_bytes(token, "big")
             ^ int.from_bytes(mask, "big")).to_bytes(len(token), "big")
 
 
-def blinded_intersection(ids_a, ids_b, rng: np.random.Generator, hub: Hub,
-                         digest_bytes: int = 32,
-                         max_attempts: int = 3) -> tuple:
+def blinded_intersection(ids_a, ids_b, rng: np.random.Generator,
+                         hub: Hub) -> tuple:
     """Find the co-occurring ids without exchanging raw id lists.
 
     Four messages on the caller's hub: B sends a keyed-hash session key;
@@ -299,28 +273,26 @@ def blinded_intersection(ids_a, ids_b, rng: np.random.Generator, hub: Hub,
     Returns the common ids sorted by repr.  Both parties learn exactly
     the intersection; the transcript never carries a raw id.
     """
-    if not 1 <= digest_bytes <= hashlib.sha256().digest_size:
-        raise ValueError("digest_bytes must be between 1 and 32")
     ids_a, ids_b = list(ids_a), list(ids_b)
     if len(set(ids_a)) != len(ids_a) or len(set(ids_b)) != len(ids_b):
         raise ValueError("party id lists must be unique")
-    for attempt in range(max_attempts):
+    for attempt in range(ALIGN_ATTEMPTS):
         try:
-            return _blinded_round(ids_a, ids_b, rng, hub, digest_bytes)
+            return _blinded_round(ids_a, ids_b, rng, hub)
         except AlignmentCollisionError:
-            if attempt == max_attempts - 1:
+            if attempt == ALIGN_ATTEMPTS - 1:
                 raise
 
 
-def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
+def _blinded_round(ids_a, ids_b, rng, hub) -> tuple:
     # message 1: B -> A, the session key for the keyed hash
     session_key = unpack_tokens(hub.exchange(
         "B", "A", MessageKind.BlindedIds,
         pack_tokens([rng.bytes(32)])).payload)[0]
 
     # message 2: A -> B, A's keyed-hashed ids under A's private mask
-    mask_a = rng.bytes(digest_bytes)
-    hashed_a = [id_token(session_key, i, digest_bytes) for i in ids_a]
+    mask_a = rng.bytes(DIGEST_BYTES)
+    hashed_a = [id_token(session_key, i) for i in ids_a]
     if len(set(hashed_a)) != len(hashed_a):
         raise AlignmentCollisionError("keyed hash collided inside A's set")
     blinded_a = unpack_tokens(hub.exchange(
@@ -328,8 +300,8 @@ def _blinded_round(ids_a, ids_b, rng, hub, digest_bytes: int) -> tuple:
         pack_tokens(_xor(t, mask_a) for t in hashed_a)).payload)
 
     # message 3: B -> A, A's tokens double-masked plus B's masked tokens
-    mask_b = rng.bytes(digest_bytes)
-    hashed_b = {id_token(session_key, i, digest_bytes): i for i in ids_b}
+    mask_b = rng.bytes(DIGEST_BYTES)
+    hashed_b = {id_token(session_key, i): i for i in ids_b}
     if len(hashed_b) != len(ids_b):
         raise AlignmentCollisionError("keyed hash collided inside B's set")
     double_masked_a = [_xor(t, mask_b) for t in blinded_a]

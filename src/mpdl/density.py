@@ -67,16 +67,15 @@ class KdeModel:
         return self.support.shape[1]
 
 
-def fit_kde(samples, bandwidth: float | None = None) -> KdeModel:
-    """Fit a KDE on ``samples``; bandwidth defaults to the N^(-1/5) rule."""
+def fit_kde(samples) -> KdeModel:
+    """Fit a KDE on ``samples`` with the N^(-1/5) rule's bandwidth; build
+    a ``KdeModel`` directly for any other bandwidth."""
     s = as_batch(samples)
     if s.shape[1] > DIMENSION_WARN_LIMIT:
         warnings.warn(
             f"KDE over {s.shape[1]} dimensions: log-densities will be "
             "dominated by nearest neighbours", RuntimeWarning)
-    if bandwidth is None:
-        bandwidth = bandwidth_rule(s.shape[0])
-    return KdeModel(s, float(bandwidth))
+    return KdeModel(s, bandwidth_rule(s.shape[0]))
 
 
 def _log_kernels(model: KdeModel, x: np.ndarray) -> np.ndarray:
@@ -106,14 +105,6 @@ def log_density_batch(model: KdeModel, x) -> np.ndarray:
     return np.log1p(k.sum(axis=1) / m) + np.log(m) + top[:, 0] - norm
 
 
-def log_density(model: KdeModel, x) -> float:
-    """Log-density of a single point (1-D vector)."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("log_density takes a single 1-D point")
-    return float(log_density_batch(model, v[None, :])[0])
-
-
 def grad_log_density_batch(model: KdeModel, x) -> np.ndarray:
     """Gradient of the log-density at each row of ``x``.
 
@@ -127,9 +118,3 @@ def grad_log_density_batch(model: KdeModel, x) -> np.ndarray:
     w /= w.sum(axis=1, keepdims=True)
     return (w @ model.support - xb) / model.bandwidth ** 2
 
-
-def grad_log_density(model: KdeModel, x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("grad_log_density takes a single 1-D point")
-    return grad_log_density_batch(model, v[None, :])[0]

@@ -64,7 +64,9 @@ class DualPartyState:
 
     ``store`` holds the party's perturbed features (the only view of
     its data that ever feeds cross-party computation), ``kde`` is
-    fitted on that same perturbed partition.
+    fitted on that same perturbed partition.  ``lam`` weighs the
+    duality term and ``lr`` is the generator's step size; runs take
+    both from ``MpdlConfig``.
     """
 
     name: str
@@ -73,8 +75,8 @@ class DualPartyState:
     model: Mlp
     keys: KeyPair
     partner_public: PublicKey
-    lam: float = 0.01
-    lr: float = 0.1
+    lam: float
+    lr: float
     # (kde, store, log P per store row, filled mask): private to this
     # state, not copied by dataclasses.replace
     _logp: tuple | None = field(default=None, init=False, repr=False,

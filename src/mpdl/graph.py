@@ -21,6 +21,7 @@ from .transport import Hub, MessageKind, ProtocolError, pack_matrix, \
     unpack_matrix
 
 CONDITION_LIMIT = 1e8
+CONFUSION_TRIES = 32
 
 
 def node_representations(adj, feat) -> np.ndarray:
@@ -40,10 +41,10 @@ class ConfusionMatrix:
     inverse: np.ndarray
 
 
-def make_confusion(size: int, rng: np.random.Generator,
-                   max_tries: int = 32) -> ConfusionMatrix:
-    """Uniform [-1, 1] square matrix, re-drawn until well conditioned."""
-    for _ in range(max_tries):
+def make_confusion(size: int, rng: np.random.Generator) -> ConfusionMatrix:
+    """Uniform [-1, 1] square matrix, re-drawn until well conditioned
+    (at most ``CONFUSION_TRIES`` draws)."""
+    for _ in range(CONFUSION_TRIES):
         m = rng.uniform(-1.0, 1.0, size=(size, size))
         if np.linalg.cond(m) < CONDITION_LIMIT:
             return ConfusionMatrix(m, np.linalg.inv(m))

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from random import Random
 
 import numpy as np
 
-from .central import SplitCentralModel, central_forward_backward, \
-    init_split_central, party_backward, party_forward
+from .central import SPLIT_ACTIVATION, SplitCentralModel, \
+    central_forward_backward, init_split_central, party_backward, \
+    party_forward
 from .data import GammaSplit, PartyDataset, SplitSpec, \
     blinded_intersection, id_token, kfold_split, partition_features, \
     split_by_gamma
@@ -43,6 +44,10 @@ from .paillier import keygen
 from .privacy import SENSITIVITY_MODES, DpConfig, OneShotPerturber
 from .transport import Hub, MessageKind, ProtocolError, pack_json, \
     pack_matrix, pack_tokens, unpack_json, unpack_matrix, unpack_tokens
+
+# the share of rows held back as the test block; `mpdl --test-fraction`
+# overrides it
+TEST_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,8 @@ class PreparedExperiment:
 
 
 def prepare_experiment(ds: PartyDataset, gamma: float, seed: int = 0,
-                       test_fraction: float = 0.1,
-                       assignment=None) -> PreparedExperiment:
+                       test_fraction: float = TEST_FRACTION
+                       ) -> PreparedExperiment:
     """Partition one labeled dataset into the three-actor world.
 
     B receives the labels for its own rows (co-occurrence, B-only and
@@ -103,7 +108,7 @@ def prepare_experiment(ds: PartyDataset, gamma: float, seed: int = 0,
     """
     if ds.labels is None:
         raise ValueError("the source dataset must carry labels")
-    fsplit = partition_features(ds, assignment=assignment, seed=seed)
+    fsplit = partition_features(ds, seed=seed)
     gsplit = split_by_gamma(ds.ids, SplitSpec(gamma, test_fraction, seed))
     rows_a = list(gsplit.co_occurrence) + list(gsplit.a_only) + \
         list(gsplit.test)
@@ -127,17 +132,15 @@ class IterationRecord:
 
 @dataclass
 class RunReport:
-    gamma: float
-    epsilon: float
-    sensitivity_mode: str
-    seed: int
+    """A run's scores; ``config`` is the run's ``MpdlConfig`` as a dict."""
+
     converged: bool
     iterations: list[IterationRecord]
     accuracy_joint: float
     accuracy_dual: float
     accuracy_unlabeled: float
     inference_mae: float
-    config: dict = field(default_factory=dict)
+    config: dict
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -172,12 +175,20 @@ def _labels_to_c(hub: Hub, party_b: PartyDataset) -> dict:
 
 
 def _partial_sums(hub: Hub, model: SplitCentralModel, x_a, x_b):
-    """A and B ship their first-layer partial sums; C receives both."""
-    z_a = hub.exchange("A", "C", MessageKind.PartialSum,
-                       pack_matrix(party_forward(model.local_a, x_a)))
-    z_b = hub.exchange("B", "C", MessageKind.PartialSum,
-                       pack_matrix(party_forward(model.local_b, x_b)))
-    return unpack_matrix(z_a.payload), unpack_matrix(z_b.payload)
+    """A and B ship their first-layer partial sums; C receives both and
+    checks that they share one shape (rows, hidden width)."""
+    z_a = unpack_matrix(hub.exchange(
+        "A", "C", MessageKind.PartialSum,
+        pack_matrix(party_forward(model.local_a, x_a))).payload)
+    z_b = unpack_matrix(hub.exchange(
+        "B", "C", MessageKind.PartialSum,
+        pack_matrix(party_forward(model.local_b, x_b))).payload)
+    want = (z_a.shape[0], model.hidden_width)
+    for sender, z in (("A", z_a), ("B", z_b)):
+        if z.shape != want:
+            raise ProtocolError(f"PartialSum from {sender} has shape "
+                                f"{z.shape}, expected {want}")
+    return z_a, z_b
 
 
 def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
@@ -198,16 +209,24 @@ def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
             idx = order[start:start + batch_size]
             xa, xb = x_a[idx], x_b[idx]
             z_a, z_b = _partial_sums(hub, model, xa, xb)
+            if z_a.shape[0] != len(idx):
+                raise ProtocolError(f"PartialSum from A and B has shape "
+                                    f"{z_a.shape}, expected one row per "
+                                    f"label, {len(idx)}")
             step = central_forward_backward(model, z_a, z_b, labels[idx])
             new_central = sgd_step(model.central, step.central_grads, lr)
             delta = pack_matrix(step.delta)
-            delta_a, delta_b = (unpack_matrix(hub.exchange(
-                "C", party, MessageKind.DeltaError, delta).payload)
-                for party in ("A", "B"))
-            model = SplitCentralModel(
-                party_backward(model.local_a, delta_a, xa, lr),
-                party_backward(model.local_b, delta_b, xb, lr),
-                new_central, model.split_activation)
+            local = []
+            for party, layer, x in (("A", model.local_a, xa),
+                                    ("B", model.local_b, xb)):
+                got = unpack_matrix(hub.exchange(
+                    "C", party, MessageKind.DeltaError, delta).payload)
+                want = (x.shape[0], model.hidden_width)
+                if got.shape != want:
+                    raise ProtocolError(f"DeltaError from C to {party} has "
+                                        f"shape {got.shape}, expected {want}")
+                local.append(party_backward(layer, got, x, lr))
+            model = SplitCentralModel(*local, new_central)
     return model
 
 
@@ -215,7 +234,7 @@ def split_predict(hub: Hub, model: SplitCentralModel, x_a,
                   x_b) -> np.ndarray:
     """C's argmax labels for rows whose features A and B hold."""
     z_a, z_b = _partial_sums(hub, model, x_a, x_b)
-    hidden = apply_activation(model.split_activation, z_a + z_b)
+    hidden = apply_activation(SPLIT_ACTIVATION, z_a + z_b)
     probs, _ = mlp_forward(model.central, hidden)
     return probs.argmax(axis=1)
 
@@ -313,7 +332,7 @@ def setup_parties(data: PreparedExperiment, config: MpdlConfig,
         cfg = DpConfig(config.epsilon, hidden, len(train),
                        config.sensitivity_mode)
         perturber = OneShotPerturber(cfg, np.random.default_rng(ss_noise))
-        out = perturber.perturb(name, party.features, ids=party.ids)
+        out = perturber.perturb(name, party.features)
         store = PartyDataset(party.ids, out.features, party.labels)
         d_in, d_out = party.features.shape[1], partner.features.shape[1]
         generator = init_mlp([d_in, dual_hidden_width(d_in, d_out), d_out],
@@ -413,9 +432,8 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
     acc_dual = accuracy(model_dual, test)
 
     result = MpdlResult(
-        RunReport(config.gamma, config.epsilon, config.sensitivity_mode,
-                  config.seed, converged, records, acc_joint, acc_dual,
-                  0.0, 0.0, asdict(config)),
+        RunReport(converged, records, acc_joint, acc_dual, 0.0, 0.0,
+                  asdict(config)),
         model_joint, model_dual,
         DualModelPair(state_a.model, state_b.model),
         state_a, state_b, received_a, hub)
@@ -452,7 +470,7 @@ def predict_unlabeled(result: MpdlResult, x_a, ids=None) -> np.ndarray:
                                                  "big")).digest()
     key = unpack_tokens(hub.exchange("B", "A", MessageKind.BlindedIds,
                                      pack_tokens([key])).payload)[0]
-    tokens = [id_token(key, i, 32) for i in ids]
+    tokens = [id_token(key, i) for i in ids]
     xhat_b = dual_infer(result.state_a.model, x_a)
     got_tokens = unpack_tokens(hub.exchange(
         "A", "B", MessageKind.BlindedIds, pack_tokens(tokens)).payload)
@@ -460,7 +478,7 @@ def predict_unlabeled(result: MpdlResult, x_a, ids=None) -> np.ndarray:
         "A", "B", MessageKind.InferredBatch, pack_matrix(xhat_b)).payload)
 
     # B resolves alignment hits against its own token table
-    table = {id_token(key, i, 32): i for i in result.state_b.store.ids}
+    table = {id_token(key, i): i for i in result.state_b.store.ids}
     x_b = np.array([result.state_b.store.rows([table[t]])[0]
                     if t in table else got_xhat[j]
                     for j, t in enumerate(got_tokens)])

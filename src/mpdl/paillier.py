@@ -47,9 +47,9 @@ DEFAULT_SCALE = 2 ** 40
 MILLER_RABIN_ROUNDS = 64
 
 
-def miller_rabin(n: int, rng: random.Random,
-                 rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Probabilistic primality test with ``rounds`` random witnesses."""
+def miller_rabin(n: int, rng: random.Random) -> bool:
+    """Probabilistic primality test with ``MILLER_RABIN_ROUNDS`` random
+    witnesses."""
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -60,7 +60,7 @@ def miller_rabin(n: int, rng: random.Random,
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = _powmod(a, d, n)
         if x in (1, n - 1):
@@ -84,8 +84,9 @@ def random_prime(bits: int, rng: random.Random) -> int:
 
 @dataclass(frozen=True)
 class PublicKey:
+    """The modulus n; the generator is always n + 1."""
+
     n: int
-    g: int
     key_id: str
 
     @property
@@ -95,14 +96,13 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class SecretKey:
-    """The private exponent, the primes of n and their CRT constants.
+    """The primes of n and their CRT constants.
 
-    ``lam`` and ``mu`` give the textbook decryption; the CRT constants
-    are derived once, at construction.  No secret shows in ``repr``.
+    The CRT constants are derived once, at construction; the textbook
+    exponent lambda = (p - 1)(q - 1) and mu = lambda^-1 mod n follow
+    from p and q.  No secret shows in ``repr``.
     """
 
-    lam: int = field(repr=False)
-    mu: int = field(repr=False)
     public: PublicKey
     p: int = field(repr=False)
     q: int = field(repr=False)
@@ -116,7 +116,7 @@ class SecretKey:
     p_mod_q1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p, q, g = self.p, self.q, self.public.g
+        p, q, g = self.p, self.q, self.public.n + 1
         if p * q != self.public.n:
             raise ValueError("p * q does not match the public modulus")
         p2, q2 = p * p, q * q
@@ -135,7 +135,6 @@ class SecretKey:
 class KeyPair:
     public: PublicKey
     secret: SecretKey
-    bits: int
 
 
 KEY_SIZES = (512, 1024, 2048)
@@ -163,10 +162,9 @@ def keygen(bits: int, rng: random.Random) -> KeyPair:
             continue
         key_id = hashlib.sha256(n.to_bytes((n.bit_length() + 7) // 8,
                                            "big")).hexdigest()[:16]
-        public = PublicKey(n=n, g=n + 1, key_id=key_id)
-        secret = SecretKey(lam=phi, mu=_invert(phi, n), public=public,
-                           p=p, q=q)
-        return KeyPair(public=public, secret=secret, bits=bits)
+        public = PublicKey(n=n, key_id=key_id)
+        return KeyPair(public=public, secret=SecretKey(public=public, p=p,
+                                                       q=q))
 
 
 @dataclass(frozen=True)
@@ -177,16 +175,15 @@ class FixedPoint:
     scale: int
 
 
-def encode(value: float, n: int, scale: int = DEFAULT_SCALE) -> FixedPoint:
-    """Encode a real number; magnitudes at or above n/(3*scale) overflow."""
+def encode(value: float, n: int) -> FixedPoint:
+    """Encode a real number at ``DEFAULT_SCALE``; magnitudes at or above
+    n/(3*DEFAULT_SCALE) overflow."""
     if not math.isfinite(value):
         raise ValueError("cannot encode a non-finite value")
-    if scale <= 0 or scale & (scale - 1):
-        raise ValueError("scale must be a positive power of two")
-    m = round(value * scale)
+    m = round(value * DEFAULT_SCALE)
     if abs(m) >= n // 3:
         raise OverflowError(f"value {value!r} does not fit the encoding band")
-    return FixedPoint(mantissa=m % n, scale=scale)
+    return FixedPoint(mantissa=m % n, scale=DEFAULT_SCALE)
 
 
 def decode(fp: FixedPoint, n: int) -> float:
@@ -271,15 +268,14 @@ class CipherVector:
         return len(self.ciphertexts)
 
 
-def encrypt_vector(key: PublicKey | SecretKey, values, rng: random.Random,
-                   scale: int = DEFAULT_SCALE) -> CipherVector:
+def encrypt_vector(key: PublicKey | SecretKey, values,
+                   rng: random.Random) -> CipherVector:
     """Encrypt each value; a ``SecretKey`` gives the same ciphertexts faster."""
     pk = key.public if isinstance(key, SecretKey) else key
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    cts = tuple(encrypt_mantissa(key, encode(float(v), pk.n, scale).mantissa,
-                                 rng)
+    cts = tuple(encrypt_mantissa(key, encode(float(v), pk.n).mantissa, rng)
                 for v in values)
-    return CipherVector(cts, scale, pk.key_id)
+    return CipherVector(cts, DEFAULT_SCALE, pk.key_id)
 
 
 def decrypt_vector(sk: SecretKey, cv: CipherVector) -> np.ndarray:
@@ -303,17 +299,16 @@ def add_cipher(pk: PublicKey, a: CipherVector, b: CipherVector) -> CipherVector:
     return CipherVector(cts, a.scale, a.key_id)
 
 
-def mul_plain(pk: PublicKey, cv: CipherVector, values,
-              scale: int = DEFAULT_SCALE) -> CipherVector:
+def mul_plain(pk: PublicKey, cv: CipherVector, values) -> CipherVector:
     """Elementwise plaintext * ciphertext; result scale is the product."""
     if cv.key_id != pk.key_id:
         raise ValueError("ciphertext does not belong to this key")
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
     if values.shape != (len(cv),):
         raise ValueError("plaintext length does not match ciphertext vector")
-    cts = tuple(_mul_mantissa(pk, c, encode(float(v), pk.n, scale).mantissa)
+    cts = tuple(_mul_mantissa(pk, c, encode(float(v), pk.n).mantissa)
                 for c, v in zip(cv.ciphertexts, values))
-    return CipherVector(cts, cv.scale * scale, cv.key_id)
+    return CipherVector(cts, cv.scale * DEFAULT_SCALE, cv.key_id)
 
 
 def negate_cipher(pk: PublicKey, cv: CipherVector) -> CipherVector:
@@ -335,8 +330,7 @@ def cipher_from_bytes(raw: bytes) -> int:
 
 
 def dual_scalar_product(pk: PublicKey, scalar_cipher: int, scalar_scale: int,
-                        plain_row: Sequence[float],
-                        scale: int = DEFAULT_SCALE) -> CipherVector:
+                        plain_row: Sequence[float]) -> CipherVector:
     """One encrypted scalar times a plaintext row vector.
 
     Used for the cross gradient terms, where a per-sample encrypted
@@ -345,9 +339,9 @@ def dual_scalar_product(pk: PublicKey, scalar_cipher: int, scalar_scale: int,
     many negative entries the row holds.
     """
     c = int(scalar_cipher)
-    ks = [encode(float(v), pk.n, scale).mantissa
+    ks = [encode(float(v), pk.n).mantissa
           for v in np.atleast_1d(np.asarray(plain_row, dtype=np.float64))]
     inverse = (_invert(c, pk.n_squared) if any(k > pk.n // 2 for k in ks)
                else None)
     cts = tuple(_mul_mantissa(pk, c, k, inverse) for k in ks)
-    return CipherVector(cts, scalar_scale * scale, pk.key_id)
+    return CipherVector(cts, scalar_scale * DEFAULT_SCALE, pk.key_id)

@@ -39,7 +39,7 @@ class DpConfig:
     epsilon: float
     h0_width: int
     sample_count: int
-    sensitivity_mode: str = "per_layer"
+    sensitivity_mode: str
 
     def __post_init__(self):
         if not (self.epsilon > 0.0):
@@ -90,17 +90,15 @@ def laplace_sample(scale: float, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class PerturbedDataset:
-    """One-shot perturbation output; ``noise`` keeps the exact draws that
-    were added to the features."""
+    """One-shot perturbation output: the perturbed features, row for row
+    as given, and ``noise``, the exact draws that were added to them."""
 
-    ids: tuple
     features: np.ndarray
-    config: DpConfig
     noise: np.ndarray
 
 
-def perturb_dataset(features, config: DpConfig, rng: np.random.Generator,
-                    ids=None) -> PerturbedDataset:
+def perturb_dataset(features, config: DpConfig,
+                    rng: np.random.Generator) -> PerturbedDataset:
     """Add feature-level DP noise to a normalized feature matrix.
 
     Entries must lie in [0, 1] on input; perturbed outputs may leave
@@ -111,19 +109,12 @@ def perturb_dataset(features, config: DpConfig, rng: np.random.Generator,
     if x.size and (x.min() < 0.0 or x.max() > 1.0):
         raise ValueError("features must be normalized to [0, 1] before "
                          "perturbation")
-    if ids is None:
-        ids = tuple(range(x.shape[0]))
-    else:
-        ids = tuple(ids)
-        if len(ids) != x.shape[0]:
-            raise ValueError("ids length does not match feature rows")
     if config.noise_disabled:
-        noise = np.zeros_like(x)
-        return PerturbedDataset(ids, x.copy(), config, noise)
+        return PerturbedDataset(x.copy(), np.zeros_like(x))
     draws = laplace_sample(sensitivity(config) / config.epsilon, rng,
                            size=x.shape)
     noise = draws / config.sample_count
-    return PerturbedDataset(ids, x + noise, config, noise)
+    return PerturbedDataset(x + noise, noise)
 
 
 @dataclass
@@ -136,15 +127,15 @@ class OneShotPerturber:
 
     config: DpConfig
     rng: np.random.Generator
-    _cache: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, init=False)
 
-    def perturb(self, name: str, features, ids=None) -> PerturbedDataset:
+    def perturb(self, name: str, features) -> PerturbedDataset:
         if name in self._cache:
             cached = self._cache[name]
             if cached.features.shape != np.asarray(features).shape:
                 raise ValueError(f"dataset {name!r} was already perturbed "
                                  "with a different shape")
             return cached
-        out = perturb_dataset(features, self.config, self.rng, ids=ids)
+        out = perturb_dataset(features, self.config, self.rng)
         self._cache[name] = out
         return out

@@ -30,22 +30,24 @@ def linear_task(n: int, d_a: int, d_b: int, seed: int = 0,
     return PartyDataset(tuple(range(n)), features, labels)
 
 
-def linked_graph(n: int, d_a: int, d_b: int, seed: int = 0,
-                 degree: float = 6.0) -> tuple[PartyDataset, np.ndarray]:
+GRAPH_NEIGHBOURS = 3
+
+
+def linked_graph(n: int, d_a: int, d_b: int,
+                 seed: int = 0) -> tuple[PartyDataset, np.ndarray]:
     """A feature dataset plus an undirected adjacency matrix.
 
     Edges connect feature-similar nodes: each node links to its
-    nearest neighbours in the full feature space until the average
-    degree is roughly ``degree``, which gives link prediction real
+    ``GRAPH_NEIGHBOURS`` nearest neighbours in the full feature space,
+    for an average degree of about 6, which gives link prediction real
     signal once features are known.
     """
     ds = linear_task(n, d_a, d_b, seed=seed)
     feats = ds.features
     sq = ((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(sq, np.inf)
-    k = max(1, int(round(degree / 2.0)))
     adj = np.zeros((n, n), dtype=np.int8)
-    nearest = np.argsort(sq, axis=1)[:, :k]
+    nearest = np.argsort(sq, axis=1)[:, :GRAPH_NEIGHBOURS]
     for i in range(n):
         adj[i, nearest[i]] = 1
         adj[nearest[i], i] = 1

@@ -28,7 +28,7 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from hashlib import sha256
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -434,7 +434,7 @@ MATRIX_KINDS = (MessageKind.InferredBatch, MessageKind.GradTerm,
 
 @dataclass
 class AssertionReport:
-    results: dict[str, str | None] = field(default_factory=dict)
+    results: dict[str, str | None]
 
     @property
     def ok(self) -> bool:
@@ -447,29 +447,26 @@ class AssertionReport:
 def transcript_assert(transcript: Transcript,
                       predicates: Mapping[str, Predicate]) -> AssertionReport:
     """Evaluate named predicates; each returns None (pass) or a detail."""
-    report = AssertionReport()
-    for name, pred in predicates.items():
-        report.results[name] = pred(transcript)
-    return report
+    return AssertionReport({name: pred(transcript)
+                            for name, pred in predicates.items()})
 
 
-def _matrix_payloads(transcript: Transcript, receiver: str | None,
-                     kinds) -> Iterable[tuple[ProtocolMessage, np.ndarray]]:
+def _matrix_payloads(transcript: Transcript, receiver: str | None
+                     ) -> Iterable[tuple[ProtocolMessage, np.ndarray]]:
     for msg in transcript:
         if receiver is not None and msg.receiver != receiver:
             continue
-        if msg.kind not in kinds:
+        if msg.kind not in MATRIX_KINDS:
             continue
         yield msg, unpack_matrix(msg.payload)
 
 
-def forbid_plaintext_rows(receiver: str | None, forbidden,
-                          kinds=MATRIX_KINDS) -> Predicate:
+def forbid_plaintext_rows(receiver: str | None, forbidden) -> Predicate:
     """Fail if any float payload row equals (bit-for-bit) a forbidden row."""
     forb = np.atleast_2d(np.asarray(forbidden, dtype=np.float64))
 
     def pred(transcript: Transcript) -> str | None:
-        for msg, mat in _matrix_payloads(transcript, receiver, kinds):
+        for msg, mat in _matrix_payloads(transcript, receiver):
             if mat.shape[1] != forb.shape[1]:
                 continue
             hits = (mat[:, None, :] == forb[None, :, :]).all(axis=2)
@@ -482,13 +479,12 @@ def forbid_plaintext_rows(receiver: str | None, forbidden,
     return pred
 
 
-def forbid_plaintext_values(receiver: str | None, forbidden,
-                            kinds=MATRIX_KINDS) -> Predicate:
+def forbid_plaintext_values(receiver: str | None, forbidden) -> Predicate:
     """Fail if any float payload entry equals a forbidden scalar exactly."""
     vals = np.unique(np.asarray(forbidden, dtype=np.float64).ravel())
 
     def pred(transcript: Transcript) -> str | None:
-        for msg, mat in _matrix_payloads(transcript, receiver, kinds):
+        for msg, mat in _matrix_payloads(transcript, receiver):
             if np.isin(mat.ravel(), vals).any():
                 return (f"msg {msg.msg_id} ({msg.kind.name} -> "
                         f"{msg.receiver}) carries a forbidden value")

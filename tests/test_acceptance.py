@@ -154,9 +154,9 @@ def _fresh_dual_states(seed: int, keys_a, keys_b):
     f = init_mlp([d_a, 4, d_b], ["relu", "identity"], init)
     g = init_mlp([d_b, 4, d_a], ["relu", "identity"], init)
     state_a = DualPartyState("A", PartyDataset(ids, x_a), fit_kde(x_a), f,
-                             keys_a, keys_b.public)
+                             keys_a, keys_b.public, lam=0.01, lr=0.1)
     state_b = DualPartyState("B", PartyDataset(ids, x_b), fit_kde(x_b), g,
-                             keys_b, keys_a.public)
+                             keys_b, keys_a.public, lam=0.01, lr=0.1)
     return state_a, state_b, ids
 
 
@@ -221,9 +221,9 @@ def _dual_round_instance(seed: int, keys_a, keys_b):
     f = init_mlp([2, 4, 3], ["relu", "identity"], rng)
     g = init_mlp([3, 4, 2], ["relu", "identity"], rng)
     state_a = DualPartyState("A", PartyDataset(ids, x_a), fit_kde(x_a), f,
-                             keys_a, keys_b.public, lam=0.05)
+                             keys_a, keys_b.public, lam=0.05, lr=0.1)
     state_b = DualPartyState("B", PartyDataset(ids, x_b), fit_kde(x_b), g,
-                             keys_b, keys_a.public, lam=0.05)
+                             keys_b, keys_a.public, lam=0.05, lr=0.1)
     return state_a, state_b, list(ids[:5])
 
 

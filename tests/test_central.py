@@ -1,15 +1,19 @@
 """Split classifier vs its monolithic twin: the losslessness identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import mpdl.orchestrator
 from mpdl.central import (SplitCentralModel, central_forward_backward,
                           init_split_central, one_hot, party_backward,
                           party_forward, to_monolithic)
 from mpdl.nn import (DenseLayer, Mlp, backprop_from_output_grad, init_mlp,
                      loss_eval, mlp_forward, sgd_step)
 from mpdl.orchestrator import split_predict, split_train
-from mpdl.transport import Hub, MessageKind, unpack_matrix
+from mpdl.transport import Hub, MessageKind, ProtocolError, pack_matrix, \
+    unpack_matrix
 
 
 @pytest.fixture
@@ -122,6 +126,63 @@ def test_central_step_rejects_mismatched_inputs():
         central_forward_backward(model, z_a, z_b[:-1], labels[:-1])
     with pytest.raises(ValueError, match="labels must be one per row"):
         central_forward_backward(model, z_a, z_b, labels[:-1])
+
+
+# -- what C and the parties check on receipt ----------------------------------
+
+def test_prediction_rejects_partial_sums_of_different_shapes(hub):
+    # one B row against six A rows used to broadcast into six predictions
+    model = make_model()
+    x_a, x_b, _ = make_batch(model, n=6)
+    with pytest.raises(ProtocolError, match=r"PartialSum from B has shape "
+                       r"\(1, 5\), expected \(6, 5\)"):
+        split_predict(hub, model, x_a, x_b[:1])
+
+
+def test_training_rejects_a_short_partial_sum(hub, monkeypatch):
+    model = make_model()
+    x_a, x_b, labels = make_batch(model)
+    forward = mpdl.orchestrator.party_forward
+
+    def short_b(local, x):
+        z = forward(local, x)
+        return z[:1] if local.in_width == model.local_b.in_width else z
+
+    monkeypatch.setattr(mpdl.orchestrator, "party_forward", short_b)
+    with pytest.raises(ProtocolError, match="PartialSum from B has shape"):
+        split_train(hub, model, x_a, x_b, labels, lr=0.1, epochs=1,
+                    batch_size=16, rng=np.random.default_rng(0))
+
+
+def test_training_rejects_partial_sums_that_miss_a_label(hub, monkeypatch):
+    model = make_model()
+    x_a, x_b, labels = make_batch(model)
+    forward = mpdl.orchestrator.party_forward
+    monkeypatch.setattr(mpdl.orchestrator, "party_forward",
+                        lambda local, x: forward(local, x)[:-1])
+    with pytest.raises(ProtocolError, match="one row per label, 16"):
+        split_train(hub, model, x_a, x_b, labels, lr=0.1, epochs=1,
+                    batch_size=16, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("party", ["A", "B"])
+def test_training_rejects_a_short_delta(hub, party):
+    model = make_model()
+    x_a, x_b, labels = make_batch(model)
+    exchange = hub.exchange
+
+    def short_delta(sender, receiver, kind, payload, batch_tag=None):
+        msg = exchange(sender, receiver, kind, payload, batch_tag)
+        if kind == MessageKind.DeltaError and receiver == party:
+            msg = dataclasses.replace(msg, payload=pack_matrix(
+                unpack_matrix(msg.payload)[:1]))
+        return msg
+
+    hub.exchange = short_delta
+    with pytest.raises(ProtocolError, match=f"DeltaError from C to {party} "
+                       r"has shape \(1, 5\), expected \(16, 5\)"):
+        split_train(hub, model, x_a, x_b, labels, lr=0.1, epochs=1,
+                    batch_size=16, rng=np.random.default_rng(0))
 
 
 def test_zero_loss_gives_zero_delta():

@@ -487,6 +487,32 @@ def test_zero_repeats_exits_2(dataset_csv, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,grid", [
+    ("mpdl", ["--gammas", ","]), ("privacy-sweep", ["--epsilons", ","]),
+    ("graph", ["--gammas", ","])])
+def test_empty_grid_exits_2_before_any_load_or_keygen(
+        dataset_csv, tmp_path, capsys, monkeypatch, command, grid):
+    import mpdl.cli
+    import mpdl.orchestrator
+    import mpdl.synthetic
+    calls = Counter()
+    for owner, name in ((mpdl.cli, "load_normalize"),
+                        (mpdl.synthetic, "linked_graph"),
+                        (mpdl.orchestrator, "keygen")):
+        _count_calls(monkeypatch, owner, name, calls)
+    out = tmp_path / "out.csv"
+    argv = [command, "--out", str(out), "--repeats", "1", "--dual-epochs",
+            "1", "--no-encryption"] + grid
+    if command == "graph":
+        argv += ["--synthetic-nodes", "50"]
+    else:
+        argv += ["--dataset", dataset_csv, "--id-column", "id"]
+    assert main(argv) == 2
+    assert "expected at least one value" in capsys.readouterr().err
+    assert calls == {}
+    assert not out.exists()
+
+
 def test_misspelt_config_boolean_exits_2(dataset_csv, tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("no_encryption = ture\n")

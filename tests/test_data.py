@@ -1,15 +1,14 @@
 """Loading, normalization, gamma/k-fold partitioning, blinded alignment."""
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpdl.data
 from mpdl.data import (AlignmentCollisionError, GammaSplit, PartyDataset,
                        SplitSpec, _xor, blinded_intersection, kfold_split,
-                       load_idx, load_normalize, min_max_normalize,
+                       load_normalize, min_max_normalize,
                        partition_features, split_by_gamma)
 from mpdl.transport import Hub
 
@@ -93,19 +92,6 @@ def test_cancer_dataset_shape(cancer):
     assert set(np.unique(cancer.labels)) == {0, 1}
 
 
-def test_load_idx_round_trip(tmp_path):
-    values = np.arange(12, dtype=np.uint8)
-    raw = struct.pack(">BBBBII", 0, 0, 0x08, 2, 3, 4) + values.tobytes()
-    path = tmp_path / "toy.idx"
-    path.write_bytes(raw)
-    out = load_idx(path)
-    assert out.shape == (3, 4)
-    assert np.array_equal(out.ravel(), values)
-    with pytest.raises(ValueError):
-        load_idx(tmp_path / "toy2.idx") if (
-            tmp_path / "toy2.idx").write_bytes(b"\x01\x00\x08\x01") else None
-
-
 def test_party_dataset_validation():
     with pytest.raises(ValueError):
         PartyDataset(("a",), np.zeros((2, 1)))
@@ -154,34 +140,21 @@ def test_partition_features_reassembles():
     assert split.party_a.labels is None
 
 
-def test_partition_features_explicit_assignment():
-    ds = PartyDataset((0, 1), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-    split = partition_features(ds, assignment=["A", "B", "A"])
-    assert split.cols_a == (0, 2)
-    assert split.cols_b == (1,)
-    assert np.array_equal(split.party_a.features, [[1.0, 3.0], [4.0, 6.0]])
-    with pytest.raises(ValueError):
-        partition_features(ds, assignment=["A", "A", "A"])
-    with pytest.raises(ValueError):
-        partition_features(ds, assignment=["A", "B"])
-    with pytest.raises(ValueError):
-        partition_features(ds, assignment=["A", "B", "C"])
-
-
 # -- horizontal gamma partition --------------------------------------------------
 
 def test_gamma_split_documented_sizes():
     ids = list(range(1000))
-    got = split_by_gamma(ids, SplitSpec(gamma=0.1, test_fraction=0.0))
+    got = split_by_gamma(ids, SplitSpec(gamma=0.1, test_fraction=0.0, seed=0))
     assert (len(got.co_occurrence), len(got.b_only), len(got.a_only)) == \
         (100, 450, 450)
-    got = split_by_gamma(ids, SplitSpec(gamma=0.8, test_fraction=0.0))
+    got = split_by_gamma(ids, SplitSpec(gamma=0.8, test_fraction=0.0, seed=0))
     assert (len(got.co_occurrence), len(got.b_only), len(got.a_only)) == \
         (800, 100, 100)
 
 
 def test_gamma_split_with_test_fraction():
-    got = split_by_gamma(range(1000), SplitSpec(gamma=0.1, test_fraction=0.1))
+    got = split_by_gamma(range(1000), SplitSpec(gamma=0.1, test_fraction=0.1,
+                                                      seed=0))
     assert len(got.test) == 100
     assert (len(got.co_occurrence), len(got.b_only), len(got.a_only)) == \
         (90, 405, 405)
@@ -216,22 +189,24 @@ def test_gamma_split_partition_properties():
 
 def test_gamma_split_seed_determinism():
     ids = [f"s{i}" for i in range(200)]
-    a = split_by_gamma(ids, SplitSpec(gamma=0.2, seed=9))
-    b = split_by_gamma(ids, SplitSpec(gamma=0.2, seed=9))
-    c = split_by_gamma(ids, SplitSpec(gamma=0.2, seed=10))
+    a = split_by_gamma(ids, SplitSpec(gamma=0.2, test_fraction=0.1, seed=9))
+    b = split_by_gamma(ids, SplitSpec(gamma=0.2, test_fraction=0.1, seed=9))
+    c = split_by_gamma(ids, SplitSpec(gamma=0.2, test_fraction=0.1,
+                                      seed=10))
     assert a == b
     assert a != c
 
 
 def test_gamma_split_rejects_duplicates_and_bad_spec():
     with pytest.raises(ValueError):
-        split_by_gamma([1, 1, 2], SplitSpec(gamma=0.5))
+        split_by_gamma([1, 1, 2], SplitSpec(gamma=0.5, test_fraction=0.1,
+                                            seed=0))
     with pytest.raises(ValueError):
-        SplitSpec(gamma=0.0)
+        SplitSpec(gamma=0.0, test_fraction=0.1, seed=0)
     with pytest.raises(ValueError):
-        SplitSpec(gamma=1.0)
+        SplitSpec(gamma=1.0, test_fraction=0.1, seed=0)
     with pytest.raises(ValueError):
-        SplitSpec(gamma=0.5, test_fraction=1.0)
+        SplitSpec(gamma=0.5, test_fraction=1.0, seed=0)
 
 
 def test_kfold_sizes():
@@ -293,9 +268,11 @@ def test_blinded_intersection_transcript_has_no_raw_ids():
     hub.close()
 
 
-def test_blinded_intersection_survives_collisions(hub):
+def test_blinded_intersection_survives_collisions(hub, monkeypatch):
     # 1-byte digests collide constantly; retries must still converge or
     # raise the typed error rather than return a wrong answer.
+    monkeypatch.setattr(mpdl.data, "DIGEST_BYTES", 1)
+    monkeypatch.setattr(mpdl.data, "ALIGN_ATTEMPTS", 50)
     rng = np.random.default_rng(8)
     ids_a = [f"a{i}" for i in range(10)]
     ids_b = [f"a{i}" for i in range(5, 15)]
@@ -303,8 +280,7 @@ def test_blinded_intersection_survives_collisions(hub):
     hits = 0
     for _ in range(20):
         try:
-            got = blinded_intersection(ids_a, ids_b, rng, hub,
-                                       digest_bytes=1, max_attempts=50)
+            got = blinded_intersection(ids_a, ids_b, rng, hub)
         except AlignmentCollisionError:
             continue
         assert got == expected
@@ -316,14 +292,6 @@ def test_blinded_intersection_rejects_duplicate_ids(hub):
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
         blinded_intersection(["a", "a"], ["b"], rng, hub)
-
-
-@pytest.mark.parametrize("nbytes", [0, 33])
-def test_blinded_intersection_rejects_digest_sizes_sha256_cannot_fill(
-        nbytes, hub):
-    rng = np.random.default_rng(9)
-    with pytest.raises(ValueError):
-        blinded_intersection(["a"], ["a"], rng, hub, digest_bytes=nbytes)
 
 
 def test_xor_matches_bytewise_xor():

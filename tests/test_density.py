@@ -9,9 +9,9 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp, softmax
 
-from mpdl.density import (DIMENSION_WARN_LIMIT, _log_kernels, bandwidth_rule,
-                          fit_kde, grad_log_density, grad_log_density_batch,
-                          log_density, log_density_batch)
+from mpdl.density import (DIMENSION_WARN_LIMIT, KdeModel, _log_kernels,
+                          bandwidth_rule, fit_kde, grad_log_density_batch,
+                          log_density_batch)
 
 
 def naive_density(support, h, x):
@@ -43,7 +43,7 @@ def test_bandwidth_rejects_zero():
 def test_single_point_log_density_closed_form():
     model = fit_kde(np.array([[0.3]]))
     h = model.bandwidth
-    got = log_density(model, np.array([0.3]))
+    got = log_density_batch(model, np.array([[0.3]]))[0]
     assert got == pytest.approx(math.log(1.0 / (h * math.sqrt(2 * math.pi))),
                                 rel=1e-12)
 
@@ -82,7 +82,7 @@ def test_density_integrates_to_one_1d():
 
 def test_log_density_finite_far_away():
     model = fit_kde(np.random.default_rng(0).uniform(size=(5, 3)))
-    val = log_density(model, np.full(3, 1e3))
+    val = log_density_batch(model, np.full((1, 3), 1e3))[0]
     assert math.isfinite(val)
 
 
@@ -90,14 +90,14 @@ def test_grad_single_support_closed_form():
     support = np.array([[0.2, 0.9]])
     model = fit_kde(support)
     x = np.array([0.5, 0.1])
-    got = grad_log_density(model, x)
+    got = grad_log_density_batch(model, x[None, :])[0]
     expected = (support[0] - x) / model.bandwidth ** 2
     assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_grad_zero_at_symmetric_center():
     model = fit_kde(np.array([[-0.7], [0.7]]))
-    got = grad_log_density(model, np.array([0.0]))
+    got = grad_log_density_batch(model, np.array([[0.0]]))[0]
     assert np.allclose(got, 0.0, atol=1e-14)
 
 
@@ -108,14 +108,13 @@ def test_grad_matches_finite_differences():
     eps = 1e-6
     for _ in range(20):
         x = rng.uniform(-0.3, 1.3, size=4)
-        got = grad_log_density(model, x)
+        got = grad_log_density_batch(model, x[None, :])[0]
         for k in range(4):
-            up = x.copy()
-            up[k] += eps
-            dn = x.copy()
-            dn[k] -= eps
-            numeric = (log_density(model, up) -
-                       log_density(model, dn)) / (2 * eps)
+            steps = np.tile(x, (2, 1))
+            steps[0, k] += eps
+            steps[1, k] -= eps
+            up, dn = log_density_batch(model, steps)
+            numeric = (up - dn) / (2 * eps)
             assert abs(got[k] - numeric) <= 1e-4 * max(1.0, abs(numeric))
 
 
@@ -126,14 +125,15 @@ def test_batch_grad_equals_pointwise():
     xs = rng.uniform(size=(6, 3))
     batch = grad_log_density_batch(model, xs)
     for j in range(6):
-        assert np.allclose(batch[j], grad_log_density(model, xs[j]),
+        assert np.allclose(batch[j],
+                           grad_log_density_batch(model, xs[j:j + 1])[0],
                            atol=1e-12)
 
 
 def test_dimension_mismatch_rejected():
     model = fit_kde(np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        log_density(model, np.zeros(3))
+        log_density_batch(model, np.zeros((1, 3)))
 
 
 def test_wide_feature_space_warns():
@@ -175,7 +175,7 @@ def test_matches_scipy_reductions_bit_for_bit(width):
 def test_matches_scipy_far_from_the_support():
     # every kernel but the nearest underflows, so the rest-sum is 0
     support = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
-    model = fit_kde(support, bandwidth=0.1)
+    model = KdeModel(support, 0.1)
     far = np.array([[30.0, 30.0], [-25.0, 4.0]])
     k = -cdist(far, support, "sqeuclidean") / (2.0 * model.bandwidth ** 2)
     rest = np.exp(k - k.max(axis=1, keepdims=True))

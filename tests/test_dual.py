@@ -9,7 +9,7 @@ import pytest
 
 from mpdl.data import PartyDataset
 import mpdl.dual
-from mpdl.density import fit_kde, log_density_batch
+from mpdl.density import KdeModel, fit_kde, log_density_batch
 from mpdl.dual import (DualModelPair, DualPartyState, dual_infer, dual_loss,
                        run_dual_round)
 from mpdl.nn import (backprop_from_output_grad, clip_global_norm, init_mlp,
@@ -462,8 +462,8 @@ def test_table_resets_when_kde_or_store_changes(keypairs, swap):
     finally:
         hub.close()
     if swap == "kde":
-        state_a.kde = fit_kde(state_a.store.features,
-                              bandwidth=2 * state_a.kde.bandwidth)
+        state_a.kde = KdeModel(state_a.store.features,
+                               2 * state_a.kde.bandwidth)
     else:
         features = np.random.default_rng(3).uniform(size=(14, 3))
         state_a.store = PartyDataset(tuple(range(14)), features)

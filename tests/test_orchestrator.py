@@ -210,10 +210,10 @@ def _dual_states(keypairs, n=13):
     ids = tuple(f"id{k}" for k in range(n))
     state_a = DualPartyState("A", PartyDataset(ids, x_a), fit_kde(x_a),
                              init_mlp([3, 4, 2], ["relu", "identity"], rng),
-                             keys_a, keys_b.public, lam=0.05)
+                             keys_a, keys_b.public, lam=0.05, lr=0.1)
     state_b = DualPartyState("B", PartyDataset(ids, x_b), fit_kde(x_b),
                              init_mlp([2, 4, 3], ["relu", "identity"], rng),
-                             keys_b, keys_a.public, lam=0.05)
+                             keys_b, keys_a.public, lam=0.05, lr=0.1)
     return state_a, state_b, list(ids)
 
 

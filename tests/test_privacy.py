@@ -35,13 +35,17 @@ def test_effective_scale_cancels_sample_count():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DpConfig(epsilon=0.0, h0_width=5, sample_count=10)
+        DpConfig(epsilon=0.0, h0_width=5, sample_count=10,
+                 sensitivity_mode="per_layer")
     with pytest.raises(ValueError):
-        DpConfig(epsilon=-1.0, h0_width=5, sample_count=10)
+        DpConfig(epsilon=-1.0, h0_width=5, sample_count=10,
+                 sensitivity_mode="per_layer")
     with pytest.raises(ValueError):
-        DpConfig(epsilon=1.0, h0_width=0, sample_count=10)
+        DpConfig(epsilon=1.0, h0_width=0, sample_count=10,
+                 sensitivity_mode="per_layer")
     with pytest.raises(ValueError):
-        DpConfig(epsilon=1.0, h0_width=5, sample_count=0)
+        DpConfig(epsilon=1.0, h0_width=5, sample_count=0,
+                 sensitivity_mode="per_layer")
     with pytest.raises(ValueError):
         DpConfig(epsilon=1.0, h0_width=5, sample_count=10,
                  sensitivity_mode="per_row")
@@ -98,7 +102,8 @@ def test_noise_variance_matches_two_b_squared():
 
 
 def test_perturb_requires_normalized_input():
-    cfg = DpConfig(epsilon=1.0, h0_width=2, sample_count=3)
+    cfg = DpConfig(epsilon=1.0, h0_width=2, sample_count=3,
+                   sensitivity_mode="per_layer")
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         perturb_dataset(np.array([[0.1, 1.2]]), cfg, rng)
@@ -118,22 +123,14 @@ def test_perturbed_output_not_reclamped():
 
 
 def test_infinite_epsilon_is_identity():
-    cfg = DpConfig(epsilon=math.inf, h0_width=3, sample_count=7)
+    cfg = DpConfig(epsilon=math.inf, h0_width=3, sample_count=7,
+                   sensitivity_mode="per_layer")
     rng = np.random.default_rng(0)
     x = np.random.default_rng(1).uniform(size=(7, 3))
     out = perturb_dataset(x, cfg, rng)
     assert np.array_equal(out.features, x)
     assert np.all(out.noise == 0.0)
     assert cfg.noise_disabled
-
-
-def test_ids_attached_and_validated():
-    cfg = DpConfig(epsilon=math.inf, h0_width=2, sample_count=2)
-    rng = np.random.default_rng(0)
-    out = perturb_dataset(np.zeros((2, 2)), cfg, rng, ids=["a", "b"])
-    assert out.ids == ("a", "b")
-    with pytest.raises(ValueError):
-        perturb_dataset(np.zeros((2, 2)), cfg, rng, ids=["a"])
 
 
 def test_one_shot_cache_returns_same_object():
@@ -149,7 +146,8 @@ def test_one_shot_cache_returns_same_object():
 
 
 def test_one_shot_cache_shape_conflict():
-    cfg = DpConfig(epsilon=1.0, h0_width=2, sample_count=4)
+    cfg = DpConfig(epsilon=1.0, h0_width=2, sample_count=4,
+                   sensitivity_mode="per_layer")
     shot = OneShotPerturber(cfg, np.random.default_rng(3))
     shot.perturb("d", np.zeros((4, 2)))
     with pytest.raises(ValueError):
