@@ -21,6 +21,7 @@ and reads it back in later rounds (``DualPartyState.own_log_density``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,6 +44,8 @@ from .transport import Hub, MessageKind, ProtocolError, pack_ciphers, \
 # update is clipped to global norm GRAD_CLIP.
 RESIDUAL_CLIP = 100.0
 GRAD_CLIP = 1.0
+# largest |mantissa| of a clipped residual at the cipher encoding scale
+_RESID_MANTISSA = math.ceil(RESIDUAL_CLIP * paillier.DEFAULT_SCALE)
 
 
 @dataclass(frozen=True)
@@ -135,12 +138,22 @@ def dual_loss(logp_xa, logp_xhat_a, logp_xhat_b, logp_xb) -> float:
     return float((r * r).mean())
 
 
+def _expect_shape(kind: MessageKind, sender: str, got: tuple,
+                  want: tuple) -> None:
+    if got != want:
+        raise ProtocolError(f"{kind.name} from {sender} has shape {got}, "
+                            f"expected {want}")
+
+
 class _PaillierCodec:
     """Residuals travel encrypted under their owner's key; the partner
     scales them homomorphically and only the owner can open the product.
 
     ``seal`` and ``cross`` return payloads, ``cross`` takes the sealed
     residual payload as it arrived, and ``open`` decodes the cross term.
+    A cross-term plaintext is a clipped residual times a multiplier, so
+    ``cross`` refuses a multiplier that could take it to
+    ``paillier.plaintext_bound`` and ``open`` decrypts it mod p^2 only.
     """
 
     kind = MessageKind.CipherBlock
@@ -148,16 +161,38 @@ class _PaillierCodec:
     def __init__(self, rng):
         self.rng = rng
 
+    def _receive(self, pk: PublicKey, payload: bytes, sender: str):
+        """The block as a ``CipherVector`` under ``pk`` and its shape."""
+        key_id, scale, rows, cols, cts = unpack_ciphers(payload)
+        if key_id != pk.key_id:
+            raise ProtocolError(f"{self.kind.name} from {sender} is under "
+                                f"key {key_id}, expected {pk.key_id}")
+        n2 = pk.n_squared
+        if not all(0 < c < n2 for c in cts):
+            raise ProtocolError(f"{self.kind.name} from {sender} under key "
+                                f"{key_id} holds a ciphertext outside "
+                                f"(0, n^2)")
+        return CipherVector(cts, scale, key_id), (rows, cols)
+
     def seal(self, keys: KeyPair, resid: np.ndarray) -> bytes:
         """Encrypt under the sealer's own key, by CRT via its secret half."""
         cv = paillier.encrypt_vector(keys.secret, resid, self.rng)
         return pack_ciphers(cv.key_id, cv.scale, len(resid), 1,
                             cv.ciphertexts)
 
-    def cross(self, pk: PublicKey, sealed: bytes, mult: np.ndarray) -> bytes:
-        """[[-resid_i]] times row i of ``mult``, flattened row-major."""
-        key_id, scale, _, _, cts = unpack_ciphers(sealed)
-        neg = paillier.negate_cipher(pk, CipherVector(cts, scale, key_id))
+    def cross(self, pk: PublicKey, sealed: bytes, mult: np.ndarray,
+              sender: str) -> bytes:
+        """[[-resid_i]] times row i of ``mult``, flattened row-major;
+        ``sealed`` came from ``sender`` under ``pk``."""
+        resid, shape = self._receive(pk, sealed, sender)
+        _expect_shape(self.kind, sender, shape, (len(mult), 1))
+        peak = float(np.abs(mult).max())
+        # a non-finite multiplier is left to the encoder's ValueError
+        if math.isfinite(peak) and round(peak * paillier.DEFAULT_SCALE) * \
+                _RESID_MANTISSA >= paillier.plaintext_bound(pk.n):
+            raise OverflowError(f"multiplier {peak!r} could take a cross "
+                                f"term past the decryption bound")
+        neg = paillier.negate_cipher(pk, resid)
         cts = []
         for c, row in zip(neg.ciphertexts, mult):
             cts.extend(paillier.dual_scalar_product(
@@ -165,19 +200,19 @@ class _PaillierCodec:
         return pack_ciphers(pk.key_id, neg.scale * paillier.DEFAULT_SCALE,
                             *mult.shape, cts)
 
-    def open(self, sk: SecretKey, payload: bytes) -> np.ndarray:
-        """Decrypt a cross term, which must be sealed under ``sk``'s key."""
-        key_id, scale, rows, cols, cts = unpack_ciphers(payload)
+    def open(self, sk: SecretKey, payload: bytes, sender: str) -> np.ndarray:
+        """Decrypt a cross term from ``sender``, which must be under
+        ``sk``'s key with every plaintext inside the bound."""
         pk = sk.public
-        if key_id != pk.key_id:
-            raise ProtocolError(f"{self.kind.name} is under key {key_id}, "
-                                f"expected {pk.key_id}")
-        n2 = pk.n_squared
-        if not all(0 < c < n2 for c in cts):
-            raise ProtocolError(f"{self.kind.name} under key {key_id} holds "
-                                f"a ciphertext outside (0, n^2)")
-        return paillier.decrypt_vector(
-            sk, CipherVector(cts, scale, key_id)).reshape(rows, cols)
+        cv, shape = self._receive(pk, payload, sender)
+        bound = paillier.plaintext_bound(pk.n)
+        try:
+            values = paillier.decrypt_vector(sk, cv, bound=bound)
+        except OverflowError:
+            raise ProtocolError(f"{self.kind.name} from {sender} holds a "
+                                f"plaintext at or above 2^"
+                                f"{bound.bit_length() - 1}") from None
+        return values.reshape(shape)
 
 
 class _ShadowCodec:
@@ -188,10 +223,13 @@ class _ShadowCodec:
     def seal(self, keys: KeyPair, resid: np.ndarray) -> bytes:
         return pack_matrix(resid[:, None])
 
-    def cross(self, pk: PublicKey, sealed: bytes, mult: np.ndarray) -> bytes:
-        return pack_matrix(mult * -unpack_matrix(sealed))
+    def cross(self, pk: PublicKey, sealed: bytes, mult: np.ndarray,
+              sender: str) -> bytes:
+        resid = unpack_matrix(sealed)
+        _expect_shape(self.kind, sender, resid.shape, (len(mult), 1))
+        return pack_matrix(mult * -resid)
 
-    def open(self, sk: SecretKey, payload: bytes) -> np.ndarray:
+    def open(self, sk: SecretKey, payload: bytes, sender: str) -> np.ndarray:
         return unpack_matrix(payload)
 
 
@@ -264,7 +302,9 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     for src, dst in (("A", "B"), ("B", "A")):
         msg = hub.exchange(src, dst, MessageKind.InferredBatch,
                            pack_matrix(halves[src].out), round_tag)
-        halves[dst].received_xhat = unpack_matrix(msg.payload)
+        xhat = halves[dst].received_xhat = unpack_matrix(msg.payload)
+        _expect_shape(MessageKind.InferredBatch, src, xhat.shape,
+                      (len(batch_ids), halves[dst].state.model.in_width))
 
     # (3-6) B -> A, then A -> B: the plaintext part of the gradient for
     # the partner generator's output, and the sealed own residual
@@ -287,19 +327,17 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
         msg = hub.exchange(src, dst, codec.kind,
                            codec.cross(sender.state.partner_public,
                                        sender.partner_resid,
-                                       sender.cross_mult),
+                                       sender.cross_mult, dst),
                            round_tag)
         halves[dst].cross_in = codec.open(halves[dst].state.keys.secret,
-                                          msg.payload)
+                                          msg.payload, src)
 
     # a received part of the wrong shape would broadcast in the sum
     for dst, src in (("A", "B"), ("B", "A")):
         want = halves[dst].out.shape
-        for kind, got in ((MessageKind.GradTerm, halves[dst].plain_in.shape),
-                          (codec.kind, halves[dst].cross_in.shape)):
-            if got != want:
-                raise ProtocolError(f"{kind.name} from {src} has shape "
-                                    f"{got}, expected {want}")
+        _expect_shape(MessageKind.GradTerm, src, halves[dst].plain_in.shape,
+                      want)
+        _expect_shape(codec.kind, src, halves[dst].cross_in.shape, want)
 
     # local assembly and SGD: no further communication
     for half in halves.values():

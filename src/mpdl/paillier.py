@@ -11,6 +11,12 @@ The key holder never exponentiates modulo n^2: it decrypts modulo p^2
 and q^2 and recombines by CRT (Paillier 1999, section 7), and when it
 encrypts under its own key it computes ``r^n`` the same way from the
 same r, so its ciphertexts equal those of a public-key encryption.
+A plaintext known to satisfy |m| < ``plaintext_bound(n)``, below p/2,
+needs only the p half: ``decrypt_vector(..., bound=)`` reads it as a
+signed residue mod p from one exponentiation mod p^2.  A wrap mod p
+cannot be seen, so the bound is enforced where such plaintexts are
+made (the dual round's cross terms), and a residue at or above it is
+refused.
 
 Supported homomorphic ops: ciphertext + ciphertext, and plaintext *
 ciphertext (which multiplies the encoding scales).  ``gmpy2`` is used
@@ -242,6 +248,29 @@ def decrypt_mantissa(sk: SecretKey, ciphertext: int) -> int:
     return mq + (mp - mq) * sk.q_inv_p % p * q
 
 
+def plaintext_bound(n: int) -> int:
+    """Bound on |m| under which the p half of decryption recovers m.
+
+    2^(floor(bits/2) - 3) for an n of ``bits`` bits.  Keygen sets the
+    top bit of each prime, so p >= 2^(floor(bits/2) - 1) and the bound
+    is at most p/4.
+    """
+    return 1 << (n.bit_length() // 2 - 3)
+
+
+def _decrypt_mod_p(sk: SecretKey, ciphertext: int) -> int:
+    """m = L_p(c^(p-1) mod p^2) * h_p mod p, read in (-p/2, p/2).
+
+    Equals the signed plaintext when |m| < p/2; larger plaintexts wrap
+    without a trace, so callers bound them first (``plaintext_bound``).
+    """
+    if not 0 < ciphertext < sk.public.n_squared:
+        raise ValueError("ciphertext outside (0, n^2)")
+    p, p2 = sk.p, sk.p2
+    m = (_powmod(ciphertext % p2, p - 1, p2) - 1) // p * sk.hp % p
+    return m - p if m > p // 2 else m
+
+
 def _mul_mantissa(pk: PublicKey, ciphertext: int, k: int,
                   inverse: int | None = None) -> int:
     """c^k mod n^2; negative-band k goes through the inverse shortcut.
@@ -278,12 +307,27 @@ def encrypt_vector(key: PublicKey | SecretKey, values,
     return CipherVector(cts, DEFAULT_SCALE, pk.key_id)
 
 
-def decrypt_vector(sk: SecretKey, cv: CipherVector) -> np.ndarray:
+def decrypt_vector(sk: SecretKey, cv: CipherVector,
+                   bound: int | None = None) -> np.ndarray:
+    """Decrypt and decode each ciphertext, by full CRT.
+
+    With ``bound``, a promise that every plaintext has |m| < bound,
+    only the p half is computed; a residue at or above the bound raises
+    ``OverflowError``.  The bound may not exceed p/2.
+    """
     if cv.key_id != sk.public.key_id:
         raise ValueError("ciphertext does not belong to this key")
-    n = sk.public.n
-    return np.array([decode(FixedPoint(decrypt_mantissa(sk, c), cv.scale), n)
-                     for c in cv.ciphertexts])
+    if bound is None:
+        n = sk.public.n
+        return np.array([decode(FixedPoint(decrypt_mantissa(sk, c),
+                                           cv.scale), n)
+                         for c in cv.ciphertexts])
+    if not 0 < bound <= sk.p // 2:
+        raise ValueError("plaintext bound must lie in (0, p/2]")
+    ms = [_decrypt_mod_p(sk, c) for c in cv.ciphertexts]
+    if any(abs(m) >= bound for m in ms):
+        raise OverflowError("a plaintext is at or above the bound")
+    return np.array([m / cv.scale for m in ms])
 
 
 def add_cipher(pk: PublicKey, a: CipherVector, b: CipherVector) -> CipherVector:

@@ -1,6 +1,7 @@
 """Dual-learning round: loss algebra, gradient assembly, the 8-message wire."""
 
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -9,12 +10,13 @@ import pytest
 
 from mpdl.data import PartyDataset
 import mpdl.dual
+from mpdl import paillier
 from mpdl.density import KdeModel, fit_kde, log_density_batch
-from mpdl.dual import (DualModelPair, DualPartyState, dual_infer, dual_loss,
-                       run_dual_round)
+from mpdl.dual import (RESIDUAL_CLIP, DualModelPair, DualPartyState,
+                       dual_infer, dual_loss, run_dual_round)
 from mpdl.nn import (backprop_from_output_grad, clip_global_norm, init_mlp,
                      loss_eval, mlp_forward, sgd_step)
-from mpdl.paillier import keygen
+from mpdl.paillier import DEFAULT_SCALE, keygen, plaintext_bound
 from mpdl.transport import Hub, MessageKind, ProtocolError, pack_ciphers, \
     pack_matrix, unpack_ciphers, unpack_matrix
 
@@ -209,12 +211,17 @@ def test_round_rejects_a_cross_term_of_the_wrong_shape(keypairs, monkeypatch,
     codec = mpdl.dual._PaillierCodec if encrypted else mpdl.dual._ShadowCodec
     original = codec.cross
 
-    def first_row(self, pk, sealed, mult):
+    def first_row(self, pk, sealed, mult, sender):
         if encrypted:
-            return original(self, pk, sealed, mult[:1])
+            # the sealed residual is cut to match, so only the cross
+            # term's shape is wrong
+            key_id, scale, _, _, cts = unpack_ciphers(sealed)
+            return original(self, pk, pack_ciphers(key_id, scale, 1, 1,
+                                                   cts[:1]),
+                            mult[:1], sender)
         # the shadow would broadcast a one-row multiplier back to 6 rows
         return pack_matrix(unpack_matrix(
-            original(self, pk, sealed, mult))[:1])
+            original(self, pk, sealed, mult, sender))[:1])
 
     monkeypatch.setattr(codec, "cross", first_row)
     state_a, state_b = make_states(keypairs)
@@ -229,16 +236,15 @@ def test_round_rejects_a_cross_term_of_the_wrong_shape(keypairs, monkeypatch,
     assert state_a.model is before[0] and state_b.model is before[1]
 
 
-def _encrypted_round_with_cross(keypairs, monkeypatch, tamper):
-    """Run one encrypted round whose cross terms pass through ``tamper``."""
-    original = mpdl.dual._PaillierCodec.cross
+def _encrypted_round_tampering(keypairs, monkeypatch, step, tamper):
+    """Run one encrypted round whose sealed residuals (``step`` "seal")
+    or cross terms ("cross") pass through ``tamper``."""
+    original = getattr(mpdl.dual._PaillierCodec, step)
 
-    def tampered(self, pk, sealed, mult):
-        key_id, scale, rows, cols, cts = unpack_ciphers(
-            original(self, pk, sealed, mult))
-        return pack_ciphers(*tamper(key_id, scale, rows, cols, cts))
+    def tampered(self, *args):
+        return pack_ciphers(*tamper(*unpack_ciphers(original(self, *args))))
 
-    monkeypatch.setattr(mpdl.dual._PaillierCodec, "cross", tampered)
+    monkeypatch.setattr(mpdl.dual._PaillierCodec, step, tampered)
     state_a, state_b = make_states(keypairs)
     hub = Hub()
     try:
@@ -254,11 +260,11 @@ def test_round_rejects_a_cross_term_under_another_key(keypairs, monkeypatch):
     swap = {keys_b.public.key_id: keys_a.public.key_id,
             keys_a.public.key_id: keys_b.public.key_id}
     with pytest.raises(ProtocolError,
-                       match=rf"^CipherBlock is under key "
+                       match=rf"^CipherBlock from A is under key "
                              rf"{keys_a.public.key_id}, expected "
                              rf"{keys_b.public.key_id}$"):
-        _encrypted_round_with_cross(
-            keypairs, monkeypatch,
+        _encrypted_round_tampering(
+            keypairs, monkeypatch, "cross",
             lambda kid, *rest: (swap[kid], *rest))
 
 
@@ -266,13 +272,181 @@ def test_round_rejects_a_zero_ciphertext_in_a_cross_term(keypairs,
                                                          monkeypatch):
     _, keys_b = keypairs
     with pytest.raises(ProtocolError,
-                       match=rf"^CipherBlock under key "
+                       match=rf"^CipherBlock from A under key "
                              rf"{keys_b.public.key_id} holds a ciphertext "
                              r"outside \(0, n\^2\)$"):
-        _encrypted_round_with_cross(
-            keypairs, monkeypatch,
+        _encrypted_round_tampering(
+            keypairs, monkeypatch, "cross",
             lambda kid, scale, rows, cols, cts: (kid, scale, rows, cols,
                                                  (0,) + cts[1:]))
+
+
+def test_round_rejects_a_sealed_residual_under_another_key(keypairs,
+                                                          monkeypatch):
+    keys_a, keys_b = keypairs
+    swap = {keys_b.public.key_id: keys_a.public.key_id,
+            keys_a.public.key_id: keys_b.public.key_id}
+    with pytest.raises(ProtocolError,
+                       match=rf"^CipherBlock from B is under key "
+                             rf"{keys_a.public.key_id}, expected "
+                             rf"{keys_b.public.key_id}$"):
+        _encrypted_round_tampering(
+            keypairs, monkeypatch, "seal",
+            lambda kid, *rest: (swap[kid], *rest))
+
+
+def test_round_rejects_a_zero_ciphertext_in_a_sealed_residual(keypairs,
+                                                              monkeypatch):
+    _, keys_b = keypairs
+    with pytest.raises(ProtocolError,
+                       match=rf"^CipherBlock from B under key "
+                             rf"{keys_b.public.key_id} holds a ciphertext "
+                             r"outside \(0, n\^2\)$"):
+        _encrypted_round_tampering(
+            keypairs, monkeypatch, "seal",
+            lambda kid, scale, rows, cols, cts: (kid, scale, rows, cols,
+                                                 (0,) + cts[1:]))
+
+
+def test_round_rejects_extra_rows_in_a_sealed_residual(keypairs,
+                                                       monkeypatch):
+    # one residual too many would be dropped by the row-wise cross product
+    with pytest.raises(ProtocolError, match=r"^CipherBlock from B has shape "
+                                            r"\(7, 1\), expected \(6, 1\)$"):
+        _encrypted_round_tampering(
+            keypairs, monkeypatch, "seal",
+            lambda kid, scale, rows, cols, cts: (kid, scale, rows + 1, cols,
+                                                 cts + cts[:1]))
+
+
+def test_shadow_round_rejects_a_one_row_sealed_residual(keypairs,
+                                                        monkeypatch):
+    # a (1, 1) residual would broadcast over the whole batch
+    original = mpdl.dual._ShadowCodec.seal
+    monkeypatch.setattr(mpdl.dual._ShadowCodec, "seal",
+                        lambda self, keys, resid: original(self, keys,
+                                                           resid[:1]))
+    state_a, state_b = make_states(keypairs)
+    hub = Hub()
+    with pytest.raises(ProtocolError, match=r"^GradTerm from B has shape "
+                                            r"\(1, 1\), expected \(6, 1\)$"):
+        run_dual_round(state_a, state_b, list(range(6)), hub,
+                       random.Random(3), use_encryption=False)
+    hub.close()
+
+
+@pytest.mark.parametrize("encrypted", [True, False])
+@pytest.mark.parametrize("cut, got", [(np.s_[:1], (1, 3)),
+                                      (np.s_[:, :2], (6, 2))],
+                         ids=["one-row", "narrow"])
+def test_round_rejects_a_mis_shaped_inferred_batch(keypairs, monkeypatch,
+                                                   encrypted, cut, got):
+    state_a, state_b = make_states(keypairs)
+    before = (state_a.model, state_b.model)
+    hub = Hub()
+    exchange = hub.exchange
+
+    def tampered(sender, receiver, kind, payload, batch_tag=None):
+        if kind == MessageKind.InferredBatch and sender == "B":
+            payload = pack_matrix(unpack_matrix(payload)[cut])
+        return exchange(sender, receiver, kind, payload, batch_tag)
+
+    monkeypatch.setattr(hub, "exchange", tampered)
+    with pytest.raises(ProtocolError,
+                       match=rf"^InferredBatch from B has shape "
+                             rf"\({got[0]}, {got[1]}\), expected \(6, 3\)$"):
+        run_dual_round(state_a, state_b, list(range(6)), hub,
+                       random.Random(3), use_encryption=encrypted)
+    hub.close()
+    assert state_a.model is before[0] and state_b.model is before[1]
+
+
+# -- the cross terms' plaintext bound ------------------------------------------
+
+def _open_cross_term(keypairs, mult):
+    """B's residual -RESIDUAL_CLIP, crossed by A with ``mult`` and opened
+    by B."""
+    _, keys_b = keypairs
+    codec = mpdl.dual._PaillierCodec(random.Random(6))
+    sealed = codec.seal(keys_b, np.array([-RESIDUAL_CLIP]))
+    payload = codec.cross(keys_b.public, sealed, np.array([[mult]]), "B")
+    return codec.open(keys_b.secret, payload, "A")
+
+
+def test_cross_refuses_a_multiplier_that_could_reach_the_bound(keypairs):
+    n = keypairs[1].public.n
+    resid_mantissa = math.ceil(RESIDUAL_CLIP * DEFAULT_SCALE)
+    # the largest float multiplier whose mantissa times the clipped
+    # residual's stays below the bound, and the next float up
+    limit = (plaintext_bound(n) - 1) // resid_mantissa
+    k = float(limit)
+    if int(k) > limit:
+        k = float(np.nextafter(k, 0.0))
+    under = k / DEFAULT_SCALE
+    over = float(np.nextafter(under, np.inf))
+    assert round(over * DEFAULT_SCALE) * resid_mantissa >= plaintext_bound(n)
+    for mult in (under, -under):
+        assert _open_cross_term(keypairs, mult)[0, 0] == RESIDUAL_CLIP * mult
+    for mult in (over, -over):
+        with pytest.raises(OverflowError, match="decryption bound"):
+            _open_cross_term(keypairs, mult)
+
+
+@pytest.mark.parametrize("mult", [np.nan, np.inf, -np.inf])
+def test_cross_keeps_the_encoders_error_for_a_non_finite_multiplier(
+        keypairs, mult):
+    with pytest.raises(ValueError, match="^cannot encode a non-finite value$"):
+        _open_cross_term(keypairs, mult)
+
+
+def test_open_refuses_a_plaintext_at_the_bound(keypairs):
+    _, keys_b = keypairs
+    pk = keys_b.public
+    bound = plaintext_bound(pk.n)
+    codec = mpdl.dual._PaillierCodec(random.Random(7))
+    rng = random.Random(8)
+
+    def opened(m):
+        ct = paillier.encrypt_mantissa(pk, m % pk.n, rng)
+        return codec.open(keys_b.secret, pack_ciphers(
+            pk.key_id, DEFAULT_SCALE ** 2, 1, 1, (ct,)), "A")
+
+    for m in (bound - 1, -(bound - 1)):
+        assert opened(m)[0, 0] == m / DEFAULT_SCALE ** 2
+    for m in (bound, -bound):
+        with pytest.raises(ProtocolError,
+                           match=rf"^CipherBlock from A holds a plaintext at "
+                                 rf"or above 2\^{bound.bit_length() - 1}$"):
+            opened(m)
+
+
+def test_open_never_exponentiates_mod_q_squared(keypairs, monkeypatch):
+    """The cross terms are decrypted from the p half alone."""
+    powmod, open_ = paillier._powmod, mpdl.dual._PaillierCodec.open
+    inside, mods = [False], []
+
+    def recording_powmod(base, exp, mod):
+        if inside[0]:
+            mods.append(mod)
+        return powmod(base, exp, mod)
+
+    def recording_open(self, *args):
+        inside[0] = True
+        try:
+            return open_(self, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(paillier, "_powmod", recording_powmod)
+    monkeypatch.setattr(mpdl.dual._PaillierCodec, "open", recording_open)
+    state_a, state_b = make_states(keypairs)
+    hub = Hub()
+    run_dual_round(state_a, state_b, list(range(6)), hub, random.Random(4))
+    hub.close()
+    # one exponentiation per entry of the two cross terms: 6 x 2 for A's
+    # generator and 6 x 3 for B's, each mod its owner's p^2
+    assert len(mods) == 6 * 2 + 6 * 3
+    assert set(mods) == {k.secret.p2 for k in keypairs}
 
 
 def test_round_accepts_swapped_argument_order(keypairs):

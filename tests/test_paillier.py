@@ -18,7 +18,7 @@ from mpdl.paillier import (DEFAULT_SCALE, KEY_SIZES, CipherVector, FixedPoint,
                            decode, decrypt_mantissa, decrypt_vector,
                            dual_scalar_product, encode, encrypt_mantissa,
                            encrypt_vector, keygen, miller_rabin, mul_plain,
-                           negate_cipher, random_prime)
+                           negate_cipher, plaintext_bound, random_prime)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,56 @@ def test_crt_decrypt_matches_textbook(crt_keys):
         prod = pow(a, k, n2)
         assert decrypt_mantissa(sk, prod) == _textbook_decrypt(crt_keys,
                                                                prod)
+
+
+def test_plaintext_bound_stays_below_half_of_p(crt_keys):
+    pk, sk = crt_keys.public, crt_keys.secret
+    bound = plaintext_bound(pk.n)
+    assert bound == 2 ** (pk.n.bit_length() // 2 - 3)
+    assert bound <= sk.p // 2 and bound <= sk.q // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bounded_decrypt_equals_full_crt_property(crt_keys, data):
+    pk, sk = crt_keys.public, crt_keys.secret
+    bound = plaintext_bound(pk.n)
+    ms = data.draw(st.lists(st.integers(-(bound - 1), bound - 1),
+                            min_size=1, max_size=4))
+    scale = data.draw(st.sampled_from([DEFAULT_SCALE, DEFAULT_SCALE ** 2]))
+    rng = random.Random(sum(ms))
+    cv = CipherVector(tuple(encrypt_mantissa(sk, m % pk.n, rng) for m in ms),
+                      scale, pk.key_id)
+    full = decrypt_vector(sk, cv)
+    bounded = decrypt_vector(sk, cv, bound=bound)
+    assert bounded.dtype == full.dtype and bounded.shape == full.shape
+    assert bounded.tobytes() == full.tobytes()
+
+
+def test_bounded_decrypt_refuses_a_plaintext_at_the_bound(crt_keys):
+    pk, sk = crt_keys.public, crt_keys.secret
+    bound = plaintext_bound(pk.n)
+    rng = random.Random(31)
+    for m in (bound, -bound, bound + 1, sk.p // 2):
+        cv = CipherVector((encrypt_mantissa(sk, m % pk.n, rng),),
+                          DEFAULT_SCALE, pk.key_id)
+        with pytest.raises(OverflowError, match="at or above the bound"):
+            decrypt_vector(sk, cv, bound=bound)
+        # full CRT reads the same ciphertext without complaint
+        assert decrypt_vector(sk, cv)[0] == m / DEFAULT_SCALE
+
+
+def test_bounded_decrypt_checks_its_bound_and_ciphertexts(keys):
+    sk = keys.secret
+    cv = encrypt_vector(sk, [1.5], random.Random(32))
+    for bad in (0, -1, sk.p // 2 + 1, keys.public.n):
+        with pytest.raises(ValueError, match="bound"):
+            decrypt_vector(sk, cv, bound=bad)
+    assert decrypt_vector(sk, cv, bound=sk.p // 2)[0] == 1.5
+    with pytest.raises(ValueError, match="outside"):
+        decrypt_vector(sk, CipherVector((0,), DEFAULT_SCALE,
+                                        keys.public.key_id),
+                       bound=plaintext_bound(keys.public.n))
 
 
 def test_secret_key_encryption_equals_public(crt_keys):

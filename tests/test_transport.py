@@ -133,6 +133,39 @@ def test_cipher_payload_with_a_non_ascii_key_id_is_a_protocol_error():
         unpack_ciphers(b"\xff" * 16 + payload[16:])
 
 
+_VALID_CIPHERS = pack_ciphers("abcdef0123456789", 2 ** 80, 2, 2,
+                              (1, 2 ** 600 + 7, 3, 2 ** 1023))
+_VALID_MATRIX = pack_matrix(np.arange(6.0).reshape(2, 3))
+
+
+def _damaged(valid: bytes):
+    """Arbitrary bytes, truncations and one-byte mutations of ``valid``."""
+    return st.one_of(
+        st.binary(max_size=300),
+        st.integers(0, len(valid) - 1).map(lambda k: valid[:k]),
+        st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+            lambda t: valid[:t[0]] + bytes([t[1]]) + valid[t[0] + 1:]))
+
+
+def _decodes_or_refuses(decoder, payload: bytes) -> None:
+    try:
+        decoder(payload)
+    except ProtocolError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged(_VALID_CIPHERS))
+def test_unpack_ciphers_fails_only_with_protocol_error(payload):
+    _decodes_or_refuses(unpack_ciphers, payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged(_VALID_MATRIX))
+def test_unpack_matrix_fails_only_with_protocol_error(payload):
+    _decodes_or_refuses(unpack_matrix, payload)
+
+
 def test_token_payload_round_trip():
     tokens = (b"", b"\x00", b"abc", b"\xff" * 40)
     assert unpack_tokens(pack_tokens(tokens)) == tokens
