@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,10 @@ RESIDUAL_CLIP = 100.0
 GRAD_CLIP = 1.0
 # largest |mantissa| of a clipped residual at the cipher encoding scale
 _RESID_MANTISSA = math.ceil(RESIDUAL_CLIP * paillier.DEFAULT_SCALE)
+# a sealed residual is encoded at the cipher scale; a cross term, its
+# product with an encoded multiplier, at the square of it
+_SEALED_SCALE = paillier.DEFAULT_SCALE
+_CROSS_SCALE = paillier.DEFAULT_SCALE ** 2
 
 
 @dataclass(frozen=True)
@@ -154,19 +158,27 @@ class _PaillierCodec:
     A cross-term plaintext is a clipped residual times a multiplier, so
     ``cross`` refuses a multiplier that could take it to
     ``paillier.plaintext_bound`` and ``open`` decrypts it mod p^2 only.
+    Every exponentiation goes through ``pmap``.
     """
 
     kind = MessageKind.CipherBlock
 
-    def __init__(self, rng):
+    def __init__(self, rng, pmap):
         self.rng = rng
+        self.pmap = pmap
 
-    def _receive(self, pk: PublicKey, payload: bytes, sender: str):
-        """The block as a ``CipherVector`` under ``pk`` and its shape."""
-        key_id, scale, rows, cols, cts = unpack_ciphers(payload)
+    def _receive(self, pk: PublicKey, payload: bytes, sender: str,
+                 scale: int):
+        """The block as a ``CipherVector`` under ``pk`` at ``scale``, and
+        its shape."""
+        key_id, got_scale, rows, cols, cts = unpack_ciphers(payload)
         if key_id != pk.key_id:
             raise ProtocolError(f"{self.kind.name} from {sender} is under "
                                 f"key {key_id}, expected {pk.key_id}")
+        if got_scale != scale:
+            raise ProtocolError(f"{self.kind.name} from {sender} has scale "
+                                f"2^{got_scale.bit_length() - 1}, expected "
+                                f"2^{scale.bit_length() - 1}")
         n2 = pk.n_squared
         if not all(0 < c < n2 for c in cts):
             raise ProtocolError(f"{self.kind.name} from {sender} under key "
@@ -176,7 +188,7 @@ class _PaillierCodec:
 
     def seal(self, keys: KeyPair, resid: np.ndarray) -> bytes:
         """Encrypt under the sealer's own key, by CRT via its secret half."""
-        cv = paillier.encrypt_vector(keys.secret, resid, self.rng)
+        cv = paillier.encrypt_vector(keys.secret, resid, self.rng, self.pmap)
         return pack_ciphers(cv.key_id, cv.scale, len(resid), 1,
                             cv.ciphertexts)
 
@@ -184,7 +196,7 @@ class _PaillierCodec:
               sender: str) -> bytes:
         """[[-resid_i]] times row i of ``mult``, flattened row-major;
         ``sealed`` came from ``sender`` under ``pk``."""
-        resid, shape = self._receive(pk, sealed, sender)
+        resid, shape = self._receive(pk, sealed, sender, _SEALED_SCALE)
         _expect_shape(self.kind, sender, shape, (len(mult), 1))
         peak = float(np.abs(mult).max())
         # a non-finite multiplier is left to the encoder's ValueError
@@ -192,22 +204,19 @@ class _PaillierCodec:
                 _RESID_MANTISSA >= paillier.plaintext_bound(pk.n):
             raise OverflowError(f"multiplier {peak!r} could take a cross "
                                 f"term past the decryption bound")
-        neg = paillier.negate_cipher(pk, resid)
-        cts = []
-        for c, row in zip(neg.ciphertexts, mult):
-            cts.extend(paillier.dual_scalar_product(
-                pk, c, neg.scale, row).ciphertexts)
-        return pack_ciphers(pk.key_id, neg.scale * paillier.DEFAULT_SCALE,
-                            *mult.shape, cts)
+        cv = paillier.dual_scalar_product(
+            pk, paillier.negate_cipher(pk, resid), mult, self.pmap)
+        return pack_ciphers(pk.key_id, cv.scale, *mult.shape, cv.ciphertexts)
 
     def open(self, sk: SecretKey, payload: bytes, sender: str) -> np.ndarray:
         """Decrypt a cross term from ``sender``, which must be under
-        ``sk``'s key with every plaintext inside the bound."""
+        ``sk``'s key at the cross-term scale with every plaintext inside
+        the bound."""
         pk = sk.public
-        cv, shape = self._receive(pk, payload, sender)
+        cv, shape = self._receive(pk, payload, sender, _CROSS_SCALE)
         bound = paillier.plaintext_bound(pk.n)
         try:
-            values = paillier.decrypt_vector(sk, cv, bound=bound)
+            values = paillier.decrypt_vector(sk, cv, bound, self.pmap)
         except OverflowError:
             raise ProtocolError(f"{self.kind.name} from {sender} holds a "
                                 f"plaintext at or above 2^"
@@ -271,7 +280,8 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
                    batch_ids, hub: Hub, rng,
                    use_encryption: bool = True,
                    exact_duality_grad: bool = False,
-                   round_tag: int | None = None) -> DualRoundResult:
+                   round_tag: int | None = None,
+                   pmap: Callable = paillier.serial_map) -> DualRoundResult:
     """One minibatch of joint dual training over the co-occurring ids.
 
     Exactly eight directed messages cross the hub, in the fixed order
@@ -284,7 +294,8 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
 
     With ``use_encryption`` off (test shadow mode) the same values move
     as plaintext float payloads; parameter updates then differ from the
-    encrypted path only by fixed-point quantization.
+    encrypted path only by fixed-point quantization.  ``pmap`` carries
+    the encrypted path's exponentiations (``paillier.parallel_map``).
     """
     if {state_a.name, state_b.name} != {"A", "B"}:
         raise ValueError("states must be named A and B")
@@ -294,7 +305,7 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     if not batch_ids:
         raise ValueError("empty minibatch")
     factor = 2.0 if exact_duality_grad else 1.0
-    codec = _PaillierCodec(rng) if use_encryption else _ShadowCodec()
+    codec = _PaillierCodec(rng, pmap) if use_encryption else _ShadowCodec()
     halves = {st.name: _RoundHalf(st, batch_ids, factor)
               for st in (state_a, state_b)}
 

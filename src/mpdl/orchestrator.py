@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from random import Random
 
@@ -40,7 +41,7 @@ from .density import fit_kde
 from .dual import DualModelPair, DualPartyState, dual_infer, run_dual_round
 from .nn import apply_activation, as_batch, dual_hidden_width, init_mlp, \
     mlp_forward, sgd_step
-from .paillier import keygen
+from .paillier import keygen, parallel_map, serial_map
 from .privacy import SENSITIVITY_MODES, DpConfig, OneShotPerturber
 from .transport import Hub, MessageKind, ProtocolError, pack_json, \
     pack_matrix, pack_tokens, unpack_json, unpack_matrix, unpack_tokens
@@ -250,18 +251,22 @@ def train_dual_generators(state_a: DualPartyState, state_b: DualPartyState,
     runs one ``run_dual_round`` per consecutive ``batch_size`` slice of
     it, with ``protocol_rng`` and the round's encryption and gradient
     settings.  Rounds are tagged ``first_tag``, ``first_tag + 1``, ...;
-    the next free tag is returned.
+    the next free tag is returned.  With encryption on, the rounds'
+    cipher exponentiations share ``paillier.parallel_map``'s worker
+    processes, which are gone again when this returns or raises.
     """
     tag = first_tag
-    for _ in range(epochs):
-        order = order_rng.permutation(len(ids))
-        for start in range(0, len(ids), batch_size):
-            batch = [ids[k] for k in order[start:start + batch_size]]
-            run_dual_round(state_a, state_b, batch, hub, protocol_rng,
-                           use_encryption=use_encryption,
-                           exact_duality_grad=exact_duality_grad,
-                           round_tag=tag)
-            tag += 1
+    pool = parallel_map() if use_encryption else nullcontext(serial_map)
+    with pool as pmap:
+        for _ in range(epochs):
+            order = order_rng.permutation(len(ids))
+            for start in range(0, len(ids), batch_size):
+                batch = [ids[k] for k in order[start:start + batch_size]]
+                run_dual_round(state_a, state_b, batch, hub, protocol_rng,
+                               use_encryption=use_encryption,
+                               exact_duality_grad=exact_duality_grad,
+                               round_tag=tag, pmap=pmap)
+                tag += 1
     return tag
 
 
@@ -407,10 +412,21 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
             got_ids = unpack_json(hub.exchange(
                 "B", "A", MessageKind.Control, pack_json(
                     {"supplement_ids": [repr(i) for i in b_only]})).payload)
+            got_ids = got_ids.get("supplement_ids") \
+                if isinstance(got_ids, dict) else None
+            if not isinstance(got_ids, list) or \
+                    not all(isinstance(i, str) for i in got_ids):
+                raise ProtocolError("Control from B holds no list of "
+                                    "supplement ids")
             got = unpack_matrix(hub.exchange(
                 "B", "A", MessageKind.InferredBatch,
                 pack_matrix(inferred)).payload)
-            received_a.update(zip(got_ids["supplement_ids"], got))
+            # a short block would drop ids in the zip below
+            want = (len(got_ids), store_a.features.shape[1])
+            if got.shape != want:
+                raise ProtocolError(f"InferredBatch from B has shape "
+                                    f"{got.shape}, expected {want}")
+            received_a.update(zip(got_ids, got))
 
         # fresh central models each iteration, identical initial weights
         base = init_split_central(store_a.features.shape[1],

@@ -22,15 +22,33 @@ Supported homomorphic ops: ciphertext + ciphertext, and plaintext *
 ciphertext (which multiplies the encoding scales).  ``gmpy2`` is used
 for the big-integer exponentiations when available; the pure-Python
 fallback computes the same values.
+
+The vector operations take a ``pmap``, a map that returns a list in
+input order.  ``serial_map`` is the default.  ``parallel_map()``, which
+the dual-training loop opens once around an encrypted run's rounds,
+forks one worker process per usable CPU beyond the first
+(``os.sched_getaffinity``) and yields a map that computes the first
+contiguous share of the items in the calling process and the rest in
+the workers; on one CPU it forks nothing and yields ``serial_map``.
+The workers are not protocol actors: they hold no hub, send nothing
+over one, and only evaluate modular exponentiations for the process
+that forked them, whose keys they already share.  Every random draw
+stays in the calling process, in the serial order, so ciphertexts do
+not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import os
+import pickle
 import random
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -216,6 +234,21 @@ def _crt_pow_n(sk: SecretKey, r: int) -> int:
     return xq + (xp - xq) * sk.q2_inv_p2 % p2 * q2
 
 
+def _pow_n(key: PublicKey | SecretKey, r: int) -> int:
+    """r^n mod n^2, by CRT when ``key`` is the ``SecretKey``."""
+    if isinstance(key, SecretKey):
+        return _crt_pow_n(key, r)
+    return _powmod(r, key.n, key.n_squared)
+
+
+def _draw_r(n: int, rng: random.Random) -> int:
+    """The encryption randomness: uniform in [1, n), coprime to n."""
+    while True:
+        r = rng.randrange(1, n)
+        if math.gcd(r, n) == 1:
+            return r
+
+
 def encrypt_mantissa(key: PublicKey | SecretKey, mantissa: int,
                      rng: random.Random) -> int:
     """Raw encryption of an integer mantissa in [0, n).
@@ -227,13 +260,7 @@ def encrypt_mantissa(key: PublicKey | SecretKey, mantissa: int,
     if not 0 <= mantissa < pk.n:
         raise ValueError("mantissa outside [0, n)")
     n2 = pk.n_squared
-    while True:
-        r = rng.randrange(1, pk.n)
-        if math.gcd(r, pk.n) == 1:
-            break
-    rn = (_crt_pow_n(key, r) if isinstance(key, SecretKey)
-          else _powmod(r, pk.n, n2))
-    return (1 + mantissa * pk.n) % n2 * rn % n2
+    return (1 + mantissa * pk.n) % n2 * _pow_n(key, _draw_r(pk.n, rng)) % n2
 
 
 def decrypt_mantissa(sk: SecretKey, ciphertext: int) -> int:
@@ -297,34 +324,135 @@ class CipherVector:
         return len(self.ciphertexts)
 
 
-def encrypt_vector(key: PublicKey | SecretKey, values,
-                   rng: random.Random) -> CipherVector:
-    """Encrypt each value; a ``SecretKey`` gives the same ciphertexts faster."""
+def serial_map(fn: Callable, items) -> list:
+    """``fn`` over ``items`` in this process, as a list in input order."""
+    return [fn(x) for x in items]
+
+
+def _worker(conn, parent_ends) -> None:
+    """Answer each ``(fn, items)`` on ``conn`` with ``(True, results)``
+    or ``(False, exception)``, until the other end closes.
+
+    ``parent_ends`` are the copies of the parent's pipe ends that the
+    fork gave this process; they are closed first, so that the parent
+    closing its end (or exiting) reaches this worker as end of file.
+    """
+    for end in parent_ends:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
+    while True:
+        try:
+            fn, items = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        try:
+            reply = (True, serial_map(fn, items))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send_bytes(pickle.dumps(reply))
+
+
+def _shared_map(conns, fn: Callable, items) -> list:
+    """``fn`` over ``items`` cut into contiguous shares, one per worker
+    connection in ``conns`` plus the first, which this process computes;
+    results in input order.  Every share's reply is read, even when an
+    earlier share raised, so the connections carry nothing into the
+    next call."""
+    items = list(items)
+    shares = len(conns) + 1
+    cuts = [len(items) * k // shares for k in range(shares + 1)]
+    busy = []
+    for conn, a, b in zip(conns, cuts[1:-1], cuts[2:]):
+        if a < b:
+            conn.send_bytes(pickle.dumps((fn, items[a:b])))
+            busy.append(conn)
+    try:
+        out = serial_map(fn, items[:cuts[1]])
+    finally:
+        replies = [pickle.loads(conn.recv_bytes()) for conn in busy]
+    for ok, value in replies:
+        if not ok:
+            raise value
+        out.extend(value)
+    return out
+
+
+@contextmanager
+def parallel_map() -> Iterator[Callable]:
+    """A map like ``serial_map`` that also uses every other usable CPU.
+
+    Forks one worker per usable CPU beyond the first and yields a map
+    that computes the first share of its items in this process and the
+    rest in the workers; the workers are closed and joined on exit,
+    whether the block returns or raises.  On one CPU it forks nothing
+    and yields ``serial_map``.  The mapped function and its arguments
+    are pickled, so they must be module-level.  Fork, not spawn: a
+    worker starts as a copy of this process, with nothing to import,
+    and it only unpickles and exponentiates, so it takes none of the
+    locks a fork could copy while another thread holds them.
+    """
+    workers = len(os.sched_getaffinity(0)) - 1 \
+        if hasattr(os, "sched_getaffinity") else 0
+    if workers < 1:
+        yield serial_map
+        return
+    # loaded here, so that importing the package does not load it
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        for _ in range(workers):
+            here, there = ctx.Pipe()
+            conns.append(here)
+            proc = ctx.Process(target=_worker, args=(there, conns),
+                               daemon=True)
+            proc.start()
+            procs.append(proc)
+            there.close()
+        yield functools.partial(_shared_map, conns)
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+
+
+def encrypt_vector(key: PublicKey | SecretKey, values, rng: random.Random,
+                   pmap: Callable = serial_map) -> CipherVector:
+    """Encrypt each value; a ``SecretKey`` gives the same ciphertexts faster.
+
+    Every r is drawn from ``rng`` first, in order, and only the
+    exponentiations go through ``pmap``, so the ciphertexts do not
+    depend on it.
+    """
     pk = key.public if isinstance(key, SecretKey) else key
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    cts = tuple(encrypt_mantissa(key, encode(float(v), pk.n).mantissa, rng)
-                for v in values)
+    ms = [encode(float(v), pk.n).mantissa for v in values]
+    rs = [_draw_r(pk.n, rng) for _ in ms]
+    n, n2 = pk.n, pk.n_squared
+    cts = tuple((1 + m * n) % n2 * rn % n2
+                for m, rn in zip(ms, pmap(functools.partial(_pow_n, key), rs)))
     return CipherVector(cts, DEFAULT_SCALE, pk.key_id)
 
 
-def decrypt_vector(sk: SecretKey, cv: CipherVector,
-                   bound: int | None = None) -> np.ndarray:
+def decrypt_vector(sk: SecretKey, cv: CipherVector, bound: int | None = None,
+                   pmap: Callable = serial_map) -> np.ndarray:
     """Decrypt and decode each ciphertext, by full CRT.
 
     With ``bound``, a promise that every plaintext has |m| < bound,
     only the p half is computed; a residue at or above the bound raises
-    ``OverflowError``.  The bound may not exceed p/2.
+    ``OverflowError``.  The bound may not exceed p/2.  The
+    exponentiations go through ``pmap``.
     """
     if cv.key_id != sk.public.key_id:
         raise ValueError("ciphertext does not belong to this key")
     if bound is None:
         n = sk.public.n
-        return np.array([decode(FixedPoint(decrypt_mantissa(sk, c),
-                                           cv.scale), n)
-                         for c in cv.ciphertexts])
+        return np.array([decode(FixedPoint(m, cv.scale), n) for m in pmap(
+            functools.partial(decrypt_mantissa, sk), cv.ciphertexts)])
     if not 0 < bound <= sk.p // 2:
         raise ValueError("plaintext bound must lie in (0, p/2]")
-    ms = [_decrypt_mod_p(sk, c) for c in cv.ciphertexts]
+    ms = pmap(functools.partial(_decrypt_mod_p, sk), cv.ciphertexts)
     if any(abs(m) >= bound for m in ms):
         raise OverflowError("a plaintext is at or above the bound")
     return np.array([m / cv.scale for m in ms])
@@ -373,19 +501,31 @@ def cipher_from_bytes(raw: bytes) -> int:
     return int.from_bytes(raw, "big")
 
 
-def dual_scalar_product(pk: PublicKey, scalar_cipher: int, scalar_scale: int,
-                        plain_row: Sequence[float]) -> CipherVector:
-    """One encrypted scalar times a plaintext row vector.
+def _scale_row(pk: PublicKey, item: tuple[int, list[int]]) -> list[int]:
+    """c^k mod n^2 for each mantissa k of a row; c is inverted at most
+    once, however many negative entries the row holds."""
+    c, ks = item
+    inverse = (_invert(c, pk.n_squared) if any(k > pk.n // 2 for k in ks)
+               else None)
+    return [_mul_mantissa(pk, c, k, inverse) for k in ks]
+
+
+def dual_scalar_product(pk: PublicKey, cv: CipherVector, plain,
+                        pmap: Callable = serial_map) -> CipherVector:
+    """Each encrypted scalar of ``cv`` times its row of the plaintext
+    matrix ``plain``, flattened row-major.
 
     Used for the cross gradient terms, where a per-sample encrypted
     log-density difference multiplies that sample's plaintext
-    log-density gradient.  The scalar is inverted at most once, however
-    many negative entries the row holds.
+    log-density gradient.  The rows are encoded here and their
+    exponentiations go through ``pmap``.
     """
-    c = int(scalar_cipher)
-    ks = [encode(float(v), pk.n).mantissa
-          for v in np.atleast_1d(np.asarray(plain_row, dtype=np.float64))]
-    inverse = (_invert(c, pk.n_squared) if any(k > pk.n // 2 for k in ks)
-               else None)
-    cts = tuple(_mul_mantissa(pk, c, k, inverse) for k in ks)
-    return CipherVector(cts, scalar_scale * DEFAULT_SCALE, pk.key_id)
+    if cv.key_id != pk.key_id:
+        raise ValueError("ciphertext does not belong to this key")
+    plain = np.asarray(plain, dtype=np.float64)
+    if plain.ndim != 2 or plain.shape[0] != len(cv):
+        raise ValueError("need one plaintext row per ciphertext")
+    rows = [[encode(v, pk.n).mantissa for v in row] for row in plain.tolist()]
+    cts = tuple(ct for row in pmap(functools.partial(_scale_row, pk),
+                                   zip(cv.ciphertexts, rows)) for ct in row)
+    return CipherVector(cts, cv.scale * DEFAULT_SCALE, pk.key_id)

@@ -206,9 +206,11 @@ def pack_json(obj) -> bytes:
 
 
 def unpack_json(payload: bytes):
+    # ValueError covers bad UTF-8, bad JSON and an integer longer than
+    # the interpreter converts; RecursionError, arrays nested too deep
     try:
         return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError("malformed control payload") from exc
 
 

@@ -281,6 +281,21 @@ def test_round_rejects_a_zero_ciphertext_in_a_cross_term(keypairs,
                                                  (0,) + cts[1:]))
 
 
+@pytest.mark.parametrize("step, sender, want", [("seal", "B", 40),
+                                                 ("cross", "A", 80)])
+def test_round_rejects_a_cipher_block_at_another_scale(keypairs, monkeypatch,
+                                                       step, sender, want):
+    # a cross term relabelled 2^40 would open 2^40 times too large, and a
+    # sealed residual relabelled 2^80 would cross into one at 2^120
+    got = 120 - want
+    with pytest.raises(ProtocolError,
+                       match=rf"^CipherBlock from {sender} has scale "
+                             rf"2\^{got}, expected 2\^{want}$"):
+        _encrypted_round_tampering(
+            keypairs, monkeypatch, step,
+            lambda kid, scale, *rest: (kid, 2 ** got, *rest))
+
+
 def test_round_rejects_a_sealed_residual_under_another_key(keypairs,
                                                           monkeypatch):
     keys_a, keys_b = keypairs
@@ -367,7 +382,7 @@ def _open_cross_term(keypairs, mult):
     """B's residual -RESIDUAL_CLIP, crossed by A with ``mult`` and opened
     by B."""
     _, keys_b = keypairs
-    codec = mpdl.dual._PaillierCodec(random.Random(6))
+    codec = mpdl.dual._PaillierCodec(random.Random(6), paillier.serial_map)
     sealed = codec.seal(keys_b, np.array([-RESIDUAL_CLIP]))
     payload = codec.cross(keys_b.public, sealed, np.array([[mult]]), "B")
     return codec.open(keys_b.secret, payload, "A")
@@ -403,7 +418,7 @@ def test_open_refuses_a_plaintext_at_the_bound(keypairs):
     _, keys_b = keypairs
     pk = keys_b.public
     bound = plaintext_bound(pk.n)
-    codec = mpdl.dual._PaillierCodec(random.Random(7))
+    codec = mpdl.dual._PaillierCodec(random.Random(7), paillier.serial_map)
     rng = random.Random(8)
 
     def opened(m):

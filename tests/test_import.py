@@ -1,4 +1,6 @@
-"""Start-up cost: importing the package must not load ``scipy.stats``."""
+"""Start-up cost: importing the package must not load ``scipy.stats``,
+nor ``multiprocessing``, which only an encrypted run's dual training
+loads."""
 
 import subprocess
 import sys
@@ -6,12 +8,22 @@ import sys
 import pytest
 
 
-@pytest.mark.parametrize("module", ["mpdl", "mpdl.cli"])
-def test_import_leaves_scipy_stats_unloaded(module):
-    # a fresh interpreter: this test process has scipy.stats loaded already
+def _loaded_after_import(module: str, package: str) -> str:
+    """``package`` and its submodules loaded by importing ``module``."""
+    # a fresh interpreter: this test process has both loaded already
     code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+            f"if m == {package!r} or m.startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["mpdl", "mpdl.cli"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    assert _loaded_after_import(module, "scipy.stats") == "[]"
+
+
+@pytest.mark.parametrize("module", ["mpdl", "mpdl.cli"])
+def test_import_leaves_multiprocessing_unloaded(module):
+    assert _loaded_after_import(module, "multiprocessing") == "[]"

@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import mpdl.orchestrator
 from mpdl.data import PartyDataset
 from mpdl.density import fit_kde
 from mpdl.dual import DualPartyState, run_dual_round
@@ -17,7 +20,8 @@ from mpdl.orchestrator import (MpdlConfig, inference_mae, mpdl_train,
                                split_predict, train_dual_generators)
 from mpdl.paillier import keygen
 from mpdl.synthetic import linear_task
-from mpdl.transport import ACTORS, Hub, MessageKind, encode_message
+from mpdl.transport import ACTORS, Hub, MessageKind, ProtocolError, \
+    encode_message, pack_json, pack_matrix, unpack_matrix
 
 
 FAST = dict(epsilon=math.inf, dual_epochs=2, central_epochs=5,
@@ -315,6 +319,108 @@ def test_multi_epoch_transcript_frames_match_golden_digest(mode):
     assert len(frames) == 203
     assert hashlib.sha256(b"".join(frames)).hexdigest() == \
         GOLDEN_FRAMES_MULTI_EPOCH[mode]
+
+
+# -- the cipher worker processes ----------------------------------------------
+
+
+def _golden_run(hub, **overrides):
+    """The golden-digest world and settings, encrypted; its frames."""
+    world = prepare_experiment(linear_task(80, 2, 2, seed=3), 0.3, seed=3)
+    cfg = MpdlConfig(gamma=0.3, epsilon=8.0, seed=3, key_bits=512,
+                     dual_epochs=1, central_epochs=2, max_iters=1,
+                     batch_size=16, **overrides)
+    try:
+        mpdl_train(world, cfg, hub)
+        return hub.transcript.frames()
+    finally:
+        hub.close()
+
+
+def _count_workers_per_round(monkeypatch, fail_at=None):
+    """Record the live child processes during each round; the round
+    numbered ``fail_at`` raises instead of running."""
+    seen, original = [], mpdl.orchestrator.run_dual_round
+
+    def counting(*args, **kwargs):
+        seen.append(len(multiprocessing.active_children()))
+        if len(seen) == fail_at:
+            raise RuntimeError("injected failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mpdl.orchestrator, "run_dual_round", counting)
+    return seen
+
+
+@pytest.mark.parametrize("backend", ["local", "tcp"])
+def test_encrypted_run_leaves_no_worker_process(monkeypatch, backend):
+    # the workers are forked with the hub's sockets open
+    seen = _count_workers_per_round(monkeypatch)
+    frames = _golden_run(Hub(backend=backend))
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == \
+        GOLDEN_FRAMES["encrypted"]
+    assert seen and set(seen) == {len(os.sched_getaffinity(0)) - 1}
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_round_leaves_no_worker_process(monkeypatch):
+    seen = _count_workers_per_round(monkeypatch, fail_at=2)
+    with pytest.raises(RuntimeError, match="injected"):
+        _golden_run(Hub())
+    assert len(seen) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_run_forks_nothing_and_sends_the_same_frames(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    seen = _count_workers_per_round(monkeypatch)
+    frames = _golden_run(Hub())
+    assert set(seen) == {0}
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == \
+        GOLDEN_FRAMES["encrypted"]
+
+
+def test_plaintext_run_forks_nothing(monkeypatch):
+    seen = _count_workers_per_round(monkeypatch)
+    _golden_run(Hub(), use_encryption=False)
+    assert seen and set(seen) == {0}
+
+
+@pytest.mark.parametrize("cut, got", [(np.s_[:-1], (24, 2)),
+                                      (np.s_[:, :1], (25, 1))],
+                         ids=["short", "narrow"])
+def test_run_rejects_a_mis_shaped_supplement(cut, got):
+    # a short supplement would leave B-only ids without A-side rows
+    hub = Hub()
+    exchange = hub.exchange
+
+    def tampered(sender, receiver, kind, payload, batch_tag=None):
+        if kind == MessageKind.InferredBatch and sender == "B" and \
+                batch_tag is None:
+            payload = pack_matrix(unpack_matrix(payload)[cut])
+        return exchange(sender, receiver, kind, payload, batch_tag)
+
+    hub.exchange = tampered
+    with pytest.raises(ProtocolError,
+                       match=rf"^InferredBatch from B has shape "
+                             rf"\({got[0]}, {got[1]}\), expected \(25, 2\)$"):
+        _golden_run(hub, use_encryption=False)
+
+
+@pytest.mark.parametrize("ids", [None, [1, 2], "'a'"])
+def test_run_rejects_a_supplement_without_an_id_list(ids):
+    hub = Hub()
+    exchange = hub.exchange
+
+    def tampered(sender, receiver, kind, payload, batch_tag=None):
+        if kind == MessageKind.Control and (sender, receiver) == ("B", "A"):
+            payload = pack_json({"supplement_ids": ids})
+        return exchange(sender, receiver, kind, payload, batch_tag)
+
+    hub.exchange = tampered
+    with pytest.raises(ProtocolError, match="^Control from B holds no list "
+                                            "of supplement ids$"):
+        _golden_run(hub, use_encryption=False)
 
 
 @pytest.mark.parametrize("mode,backend", [("encrypted", "local"),

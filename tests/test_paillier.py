@@ -5,6 +5,8 @@ All oracles: plain Python arithmetic on the same inputs.
 """
 
 import math
+import multiprocessing
+import os
 import random
 
 import numpy as np
@@ -18,7 +20,8 @@ from mpdl.paillier import (DEFAULT_SCALE, KEY_SIZES, CipherVector, FixedPoint,
                            decode, decrypt_mantissa, decrypt_vector,
                            dual_scalar_product, encode, encrypt_mantissa,
                            encrypt_vector, keygen, miller_rabin, mul_plain,
-                           negate_cipher, plaintext_bound, random_prime)
+                           negate_cipher, parallel_map, plaintext_bound,
+                           random_prime, serial_map)
 
 
 @pytest.fixture(scope="module")
@@ -308,14 +311,15 @@ def test_dual_scalar_product(keys):
     scalar = -0.75
     row = [0.5, -2.0, 4.0]
     c = encrypt_vector(keys.public, [scalar], rng)
-    out = dual_scalar_product(keys.public, c.ciphertexts[0], c.scale, row)
+    out = dual_scalar_product(keys.public, c, [row])
     got = decrypt_vector(keys.secret, out)
     assert np.allclose(got, np.array(row) * scalar, atol=5 * 2 ** -40)
 
 
 def test_dual_scalar_product_inverts_once_per_row(keys, monkeypatch):
     rng = random.Random(14)
-    c = encrypt_vector(keys.public, [0.3], rng).ciphertexts[0]
+    cv = encrypt_vector(keys.public, [0.3], rng)
+    c = cv.ciphertexts[0]
     row = [-0.5, 2.0, -4.0, -1e-3, 0.0]
     # the same ciphertexts as an elementwise plaintext product
     reference = mul_plain(keys.public, CipherVector((c,) * len(row),
@@ -329,12 +333,78 @@ def test_dual_scalar_product_inverts_once_per_row(keys, monkeypatch):
         return invert(a, mod)
 
     monkeypatch.setattr(paillier, "_invert", counting_invert)
-    out = dual_scalar_product(keys.public, c, DEFAULT_SCALE, row)
+    out = dual_scalar_product(keys.public, cv, [row])
     assert out == reference
     assert calls == [c]
     calls.clear()
-    dual_scalar_product(keys.public, c, DEFAULT_SCALE, [0.5, 2.0])
+    dual_scalar_product(keys.public, cv, [[0.5, 2.0]])
     assert calls == []
+
+
+def test_dual_scalar_product_checks_its_key_and_rows(keys):
+    other = keygen(512, random.Random(4321))
+    cv = encrypt_vector(keys.public, [0.5, -1.0], random.Random(15))
+    with pytest.raises(ValueError, match="key"):
+        dual_scalar_product(other.public, cv, [[1.0], [2.0]])
+    for plain in ([[1.0]], [1.0, 2.0], [[[1.0]], [[2.0]]]):
+        with pytest.raises(ValueError, match="one plaintext row"):
+            dual_scalar_product(keys.public, cv, plain)
+
+
+# -- the worker processes ----------------------------------------------------
+
+
+def _cipher_ops(keys, pmap):
+    """Every vector operation that takes a map, on fixed inputs, and the
+    encryption rng's next draw."""
+    pk, sk = keys.public, keys.secret
+    rng = random.Random(21)
+    values = np.linspace(-3.0, 3.0, 11)
+    sealed = encrypt_vector(sk, values, rng, pmap)
+    public = encrypt_vector(pk, values[:3], rng, pmap)
+    mult = np.random.default_rng(22).normal(size=(11, 3))
+    cross = dual_scalar_product(pk, negate_cipher(pk, sealed), mult, pmap)
+    return (sealed, public, cross, rng.random(),
+            decrypt_vector(sk, sealed, None, pmap).tobytes(),
+            decrypt_vector(sk, cross, plaintext_bound(pk.n), pmap).tobytes())
+
+
+def test_parallel_map_gives_the_serial_results(keys):
+    with parallel_map() as pmap:
+        assert _cipher_ops(keys, pmap) == _cipher_ops(keys, serial_map)
+        # fewer items than processes, and none
+        assert pmap(abs, [-1]) == [1]
+        assert pmap(abs, []) == []
+        assert len(multiprocessing.active_children()) == \
+            len(os.sched_getaffinity(0)) - 1
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_on_one_cpu_forks_nothing(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with parallel_map() as pmap:
+        assert pmap is serial_map
+        assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_raises_a_workers_error_and_stays_usable(keys):
+    sk = keys.secret
+    # the zero sits in the last share, which a worker computes when
+    # there is one
+    bad = CipherVector((1,) * 7 + (0,), DEFAULT_SCALE, keys.public.key_id)
+    with parallel_map() as pmap:
+        with pytest.raises(ValueError, match=r"outside \(0, n\^2\)"):
+            decrypt_vector(sk, bad, None, pmap)
+        assert pmap(abs, range(-4, 4)) == [4, 3, 2, 1, 0, 1, 2, 3]
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_joins_its_workers_when_the_block_raises():
+    with pytest.raises(RuntimeError, match="injected"):
+        with parallel_map() as pmap:
+            assert pmap(abs, [-2, 3, -4]) == [2, 3, 4]
+            raise RuntimeError("injected")
+    assert multiprocessing.active_children() == []
 
 
 def test_cross_key_and_scale_guards(keys):

@@ -166,6 +166,38 @@ def test_unpack_matrix_fails_only_with_protocol_error(payload):
     _decodes_or_refuses(unpack_matrix, payload)
 
 
+_VALID_TOKENS = pack_tokens([b"", b"\x00\x01", b"tok" * 5])
+_VALID_JSON = pack_json({"supplement_ids": ["1", "'a'"], "labels": [0, 1],
+                         "x": -2.5e-3, "ok": True, "none": None})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged(_VALID_TOKENS))
+def test_unpack_tokens_fails_only_with_protocol_error(payload):
+    _decodes_or_refuses(unpack_tokens, payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged(_VALID_JSON))
+def test_unpack_json_fails_only_with_protocol_error(payload):
+    _decodes_or_refuses(unpack_json, payload)
+
+
+@pytest.mark.parametrize("payload", [b"[" * 100_000 + b"]" * 100_000,
+                                     b"{\"a\":" * 100_000, b"1" * 5000],
+                         ids=["nested-array", "nested-object", "long-int"])
+def test_unpack_json_refuses_what_the_parser_cannot_hold(payload):
+    with pytest.raises(ProtocolError, match="malformed control payload"):
+        unpack_json(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged(encode_message(ProtocolMessage(
+    7, "A", "B", MessageKind.GradTerm, _VALID_MATRIX, 3))))
+def test_decode_message_fails_only_with_protocol_error(frame):
+    _decodes_or_refuses(decode_message, frame)
+
+
 def test_token_payload_round_trip():
     tokens = (b"", b"\x00", b"abc", b"\xff" * 40)
     assert unpack_tokens(pack_tokens(tokens)) == tokens
