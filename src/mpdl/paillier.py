@@ -349,7 +349,10 @@ def _worker(conn, parent_ends) -> None:
             reply = (True, serial_map(fn, items))
         except Exception as exc:
             reply = (False, exc)
-        conn.send_bytes(pickle.dumps(reply))
+        try:
+            conn.send_bytes(pickle.dumps(reply))
+        except BrokenPipeError:  # the caller left without this reply
+            return
 
 
 def _shared_map(conns, fn: Callable, items) -> list:
