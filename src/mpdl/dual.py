@@ -33,8 +33,8 @@ from .density import KdeModel, grad_log_density_batch, log_density_batch
 from .nn import Mlp, backprop_from_output_grad, clip_global_norm, \
     loss_eval, mlp_forward, sgd_step
 from .paillier import CipherVector, KeyPair, PublicKey, SecretKey
-from .transport import Hub, MessageKind, ProtocolError, pack_ciphers, \
-    pack_matrix, unpack_ciphers, unpack_matrix
+from .transport import Hub, MessageKind, ProtocolError, expect_shape, \
+    pack_ciphers, pack_matrix, receive_matrix, unpack_ciphers, unpack_matrix
 
 # Log-density differences are unbounded below once a generator output
 # leaves the support; an uncapped residual feeds back into the update and
@@ -142,13 +142,6 @@ def dual_loss(logp_xa, logp_xhat_a, logp_xhat_b, logp_xb) -> float:
     return float((r * r).mean())
 
 
-def _expect_shape(kind: MessageKind, sender: str, got: tuple,
-                  want: tuple) -> None:
-    if got != want:
-        raise ProtocolError(f"{kind.name} from {sender} has shape {got}, "
-                            f"expected {want}")
-
-
 class _PaillierCodec:
     """Residuals travel encrypted under their owner's key; the partner
     scales them homomorphically and only the owner can open the product.
@@ -168,9 +161,9 @@ class _PaillierCodec:
         self.pmap = pmap
 
     def _receive(self, pk: PublicKey, payload: bytes, sender: str,
-                 scale: int):
-        """The block as a ``CipherVector`` under ``pk`` at ``scale``, and
-        its shape."""
+                 scale: int, expect: tuple) -> CipherVector:
+        """The block as a ``CipherVector`` under ``pk`` at ``scale``; its
+        shape must be ``expect``."""
         key_id, got_scale, rows, cols, cts = unpack_ciphers(payload)
         if key_id != pk.key_id:
             raise ProtocolError(f"{self.kind.name} from {sender} is under "
@@ -184,7 +177,8 @@ class _PaillierCodec:
             raise ProtocolError(f"{self.kind.name} from {sender} under key "
                                 f"{key_id} holds a ciphertext outside "
                                 f"(0, n^2)")
-        return CipherVector(cts, scale, key_id), (rows, cols)
+        expect_shape(self.kind, sender, (rows, cols), expect)
+        return CipherVector(cts, scale, key_id)
 
     def seal(self, keys: KeyPair, resid: np.ndarray) -> bytes:
         """Encrypt under the sealer's own key, by CRT via its secret half."""
@@ -196,8 +190,8 @@ class _PaillierCodec:
               sender: str) -> bytes:
         """[[-resid_i]] times row i of ``mult``, flattened row-major;
         ``sealed`` came from ``sender`` under ``pk``."""
-        resid, shape = self._receive(pk, sealed, sender, _SEALED_SCALE)
-        _expect_shape(self.kind, sender, shape, (len(mult), 1))
+        resid = self._receive(pk, sealed, sender, _SEALED_SCALE,
+                              (len(mult), 1))
         peak = float(np.abs(mult).max())
         # a non-finite multiplier is left to the encoder's ValueError
         if math.isfinite(peak) and round(peak * paillier.DEFAULT_SCALE) * \
@@ -208,12 +202,13 @@ class _PaillierCodec:
             pk, paillier.negate_cipher(pk, resid), mult, self.pmap)
         return pack_ciphers(pk.key_id, cv.scale, *mult.shape, cv.ciphertexts)
 
-    def open(self, sk: SecretKey, payload: bytes, sender: str) -> np.ndarray:
+    def open(self, sk: SecretKey, payload: bytes, sender: str,
+             expect: tuple) -> np.ndarray:
         """Decrypt a cross term from ``sender``, which must be under
-        ``sk``'s key at the cross-term scale with every plaintext inside
-        the bound."""
+        ``sk``'s key at the cross-term scale, of shape ``expect``, with
+        every plaintext inside the bound."""
         pk = sk.public
-        cv, shape = self._receive(pk, payload, sender, _CROSS_SCALE)
+        cv = self._receive(pk, payload, sender, _CROSS_SCALE, expect)
         bound = paillier.plaintext_bound(pk.n)
         try:
             values = paillier.decrypt_vector(sk, cv, bound, self.pmap)
@@ -221,7 +216,7 @@ class _PaillierCodec:
             raise ProtocolError(f"{self.kind.name} from {sender} holds a "
                                 f"plaintext at or above 2^"
                                 f"{bound.bit_length() - 1}") from None
-        return values.reshape(shape)
+        return values.reshape(expect)
 
 
 class _ShadowCodec:
@@ -234,12 +229,12 @@ class _ShadowCodec:
 
     def cross(self, pk: PublicKey, sealed: bytes, mult: np.ndarray,
               sender: str) -> bytes:
-        resid = unpack_matrix(sealed)
-        _expect_shape(self.kind, sender, resid.shape, (len(mult), 1))
+        resid = receive_matrix(self.kind, sender, sealed, (len(mult), 1))
         return pack_matrix(mult * -resid)
 
-    def open(self, sk: SecretKey, payload: bytes, sender: str) -> np.ndarray:
-        return unpack_matrix(payload)
+    def open(self, sk: SecretKey, payload: bytes, sender: str,
+             expect: tuple) -> np.ndarray:
+        return receive_matrix(self.kind, sender, payload, expect)
 
 
 class _RoundHalf:
@@ -309,22 +304,22 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     halves = {st.name: _RoundHalf(st, batch_ids, factor)
               for st in (state_a, state_b)}
 
-    # (1-2) A -> B: xhat_B = f(x_A), then B -> A: xhat_A = g(x_B)
+    # (1-2) A -> B: xhat_B = f(x_A), then B -> A: xhat_A = g(x_B); each
+    # later part a party takes has its output's shape, so none broadcasts
     for src, dst in (("A", "B"), ("B", "A")):
-        msg = hub.exchange(src, dst, MessageKind.InferredBatch,
-                           pack_matrix(halves[src].out), round_tag)
-        xhat = halves[dst].received_xhat = unpack_matrix(msg.payload)
-        _expect_shape(MessageKind.InferredBatch, src, xhat.shape,
-                      (len(batch_ids), halves[dst].state.model.in_width))
+        halves[dst].received_xhat = hub.exchange_matrix(
+            src, dst, MessageKind.InferredBatch, halves[src].out,
+            (len(batch_ids), halves[dst].state.model.in_width), round_tag,
+            codec=(pack_matrix, unpack_matrix))
 
     # (3-6) B -> A, then A -> B: the plaintext part of the gradient for
     # the partner generator's output, and the sealed own residual
     # logP(xhat) - logP(x) under the sender's key
     for src, dst in (("B", "A"), ("A", "B")):
         plain, own_resid, halves[src].cross_mult = halves[src].local_terms()
-        msg = hub.exchange(src, dst, MessageKind.GradTerm,
-                           pack_matrix(plain), round_tag)
-        halves[dst].plain_in = unpack_matrix(msg.payload)
+        halves[dst].plain_in = hub.exchange_matrix(
+            src, dst, MessageKind.GradTerm, plain, halves[dst].out.shape,
+            round_tag, codec=(pack_matrix, unpack_matrix))
         msg = hub.exchange(src, dst, codec.kind,
                            codec.seal(halves[src].state.keys, own_resid),
                            round_tag)
@@ -341,14 +336,8 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
                                        sender.cross_mult, dst),
                            round_tag)
         halves[dst].cross_in = codec.open(halves[dst].state.keys.secret,
-                                          msg.payload, src)
-
-    # a received part of the wrong shape would broadcast in the sum
-    for dst, src in (("A", "B"), ("B", "A")):
-        want = halves[dst].out.shape
-        _expect_shape(MessageKind.GradTerm, src, halves[dst].plain_in.shape,
-                      want)
-        _expect_shape(codec.kind, src, halves[dst].cross_in.shape, want)
+                                          msg.payload, src,
+                                          halves[dst].out.shape)
 
     # local assembly and SGD: no further communication
     for half in halves.values():

@@ -17,8 +17,7 @@ from .data import PartyDataset
 from .dual import DualModelPair, dual_infer
 from .nn import as_batch
 from .orchestrator import MpdlConfig, prepare_experiment, setup_parties
-from .transport import Hub, MessageKind, ProtocolError, pack_matrix, \
-    unpack_matrix
+from .transport import Hub, MessageKind, ProtocolError
 
 CONDITION_LIMIT = 1e8
 CONFUSION_TRIES = 32
@@ -71,12 +70,11 @@ def confusion_protocol(m_a, m_b, rng: np.random.Generator,
                             "to exceed the left factor's rows; the product "
                             "would pin down the hidden factor")
     conf = make_confusion(m_b.shape[1], rng)
-    masked_b = unpack_matrix(hub.exchange(
-        "B", "A", MessageKind.MatrixBlock,
-        pack_matrix(m_b @ conf.matrix)).payload)
-    masked_prod = unpack_matrix(hub.exchange(
-        "A", "B", MessageKind.MatrixBlock,
-        pack_matrix(m_a @ masked_b)).payload)
+    masked_b = hub.exchange_matrix("B", "A", MessageKind.MatrixBlock,
+                                   m_b @ conf.matrix, m_b.shape)
+    masked_prod = hub.exchange_matrix("A", "B", MessageKind.MatrixBlock,
+                                      m_a @ masked_b,
+                                      (m_a.shape[0], m_b.shape[1]))
     return masked_prod @ conf.inverse
 
 

@@ -43,8 +43,9 @@ from .nn import apply_activation, as_batch, dual_hidden_width, init_mlp, \
     mlp_forward, sgd_step
 from .paillier import keygen, parallel_map, serial_map
 from .privacy import SENSITIVITY_MODES, DpConfig, OneShotPerturber
-from .transport import Hub, MessageKind, ProtocolError, pack_json, \
-    pack_matrix, pack_tokens, unpack_json, unpack_matrix, unpack_tokens
+from .transport import Hub, MessageKind, ProtocolError, expect_shape, \
+    pack_json, pack_matrix, pack_tokens, unpack_json, unpack_matrix, \
+    unpack_tokens
 
 # the share of rows held back as the test block; `mpdl --test-fraction`
 # overrides it
@@ -175,21 +176,13 @@ def _labels_to_c(hub: Hub, party_b: PartyDataset) -> dict:
     return unpack_json(msg.payload)["labels"]
 
 
-def _partial_sums(hub: Hub, model: SplitCentralModel, x_a, x_b):
-    """A and B ship their first-layer partial sums; C receives both and
-    checks that they share one shape (rows, hidden width)."""
-    z_a = unpack_matrix(hub.exchange(
-        "A", "C", MessageKind.PartialSum,
-        pack_matrix(party_forward(model.local_a, x_a))).payload)
-    z_b = unpack_matrix(hub.exchange(
-        "B", "C", MessageKind.PartialSum,
-        pack_matrix(party_forward(model.local_b, x_b))).payload)
-    want = (z_a.shape[0], model.hidden_width)
-    for sender, z in (("A", z_a), ("B", z_b)):
-        if z.shape != want:
-            raise ProtocolError(f"PartialSum from {sender} has shape "
-                                f"{z.shape}, expected {want}")
-    return z_a, z_b
+def _partial_sums(hub: Hub, model: SplitCentralModel, x_a, x_b, rows: int):
+    """A's and B's first-layer partial sums; C takes each as ``rows`` rows."""
+    return tuple(hub.exchange_matrix(
+        sender, "C", MessageKind.PartialSum, party_forward(local, x),
+        (rows, model.hidden_width), codec=(pack_matrix, unpack_matrix))
+        for sender, local, x in (("A", model.local_a, x_a),
+                                 ("B", model.local_b, x_b)))
 
 
 def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
@@ -209,24 +202,16 @@ def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
         for start in range(0, len(order), batch_size):
             idx = order[start:start + batch_size]
             xa, xb = x_a[idx], x_b[idx]
-            z_a, z_b = _partial_sums(hub, model, xa, xb)
-            if z_a.shape[0] != len(idx):
-                raise ProtocolError(f"PartialSum from A and B has shape "
-                                    f"{z_a.shape}, expected one row per "
-                                    f"label, {len(idx)}")
+            z_a, z_b = _partial_sums(hub, model, xa, xb, len(idx))
             step = central_forward_backward(model, z_a, z_b, labels[idx])
             new_central = sgd_step(model.central, step.central_grads, lr)
-            delta = pack_matrix(step.delta)
             local = []
             for party, layer, x in (("A", model.local_a, xa),
                                     ("B", model.local_b, xb)):
-                got = unpack_matrix(hub.exchange(
-                    "C", party, MessageKind.DeltaError, delta).payload)
-                want = (x.shape[0], model.hidden_width)
-                if got.shape != want:
-                    raise ProtocolError(f"DeltaError from C to {party} has "
-                                        f"shape {got.shape}, expected {want}")
-                local.append(party_backward(layer, got, x, lr))
+                local.append(party_backward(layer, hub.exchange_matrix(
+                    "C", party, MessageKind.DeltaError, step.delta,
+                    (x.shape[0], model.hidden_width),
+                    codec=(pack_matrix, unpack_matrix)), x, lr))
             model = SplitCentralModel(*local, new_central)
     return model
 
@@ -234,7 +219,7 @@ def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
 def split_predict(hub: Hub, model: SplitCentralModel, x_a,
                   x_b) -> np.ndarray:
     """C's argmax labels for rows whose features A and B hold."""
-    z_a, z_b = _partial_sums(hub, model, x_a, x_b)
+    z_a, z_b = _partial_sums(hub, model, x_a, x_b, len(x_a))
     hidden = apply_activation(SPLIT_ACTIVATION, z_a + z_b)
     probs, _ = mlp_forward(model.central, hidden)
     return probs.argmax(axis=1)
@@ -418,15 +403,11 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
                     not all(isinstance(i, str) for i in got_ids):
                 raise ProtocolError("Control from B holds no list of "
                                     "supplement ids")
-            got = unpack_matrix(hub.exchange(
-                "B", "A", MessageKind.InferredBatch,
-                pack_matrix(inferred)).payload)
-            # a short block would drop ids in the zip below
-            want = (len(got_ids), store_a.features.shape[1])
-            if got.shape != want:
-                raise ProtocolError(f"InferredBatch from B has shape "
-                                    f"{got.shape}, expected {want}")
-            received_a.update(zip(got_ids, got))
+            # a short block would drop ids in the zip
+            received_a.update(zip(got_ids, hub.exchange_matrix(
+                "B", "A", MessageKind.InferredBatch, inferred,
+                (len(got_ids), store_a.features.shape[1]),
+                codec=(pack_matrix, unpack_matrix))))
 
         # fresh central models each iteration, identical initial weights
         base = init_split_central(store_a.features.shape[1],
@@ -463,20 +444,19 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
     return result
 
 
-def predict_unlabeled(result: MpdlResult, x_a, ids=None) -> np.ndarray:
+def predict_unlabeled(result: MpdlResult, x_a, ids) -> np.ndarray:
     """Label A-side rows through the routing protocol, on ``result.hub``.
 
     A infers the missing partner features and ships them with blinded
     id tokens; B swaps in its true features for any token it holds and
     both parties send partial sums to C, which returns the labels to A.
-    Unknown or absent ids always take the inferred path.
+    Ids B does not hold take the inferred path.
     """
     hub = result.hub
     x_a = np.atleast_2d(np.asarray(x_a, dtype=np.float64))
-    if ids is None:
-        ids = [object()] * x_a.shape[0]  # fresh handles: never aligned
     ids = list(ids)
-    if len(ids) != x_a.shape[0]:
+    rows = len(ids)
+    if rows != x_a.shape[0]:
         raise ValueError("one id per row required")
 
     # fresh blinding key so B can match tokens without seeing raw ids;
@@ -490,8 +470,11 @@ def predict_unlabeled(result: MpdlResult, x_a, ids=None) -> np.ndarray:
     xhat_b = dual_infer(result.state_a.model, x_a)
     got_tokens = unpack_tokens(hub.exchange(
         "A", "B", MessageKind.BlindedIds, pack_tokens(tokens)).payload)
-    got_xhat = unpack_matrix(hub.exchange(
-        "A", "B", MessageKind.InferredBatch, pack_matrix(xhat_b)).payload)
+    expect_shape(MessageKind.BlindedIds, "A", (len(got_tokens),), (rows,))
+    got_xhat = hub.exchange_matrix(
+        "A", "B", MessageKind.InferredBatch, xhat_b,
+        (rows, result.state_b.store.features.shape[1]),
+        codec=(pack_matrix, unpack_matrix))
 
     # B resolves alignment hits against its own token table
     table = {id_token(key, i): i for i in result.state_b.store.ids}
@@ -503,6 +486,7 @@ def predict_unlabeled(result: MpdlResult, x_a, ids=None) -> np.ndarray:
     back = unpack_json(hub.exchange(
         "C", "A", MessageKind.Control,
         pack_json({"labels": [int(p) for p in preds]})).payload)
+    expect_shape(MessageKind.Control, "C", (len(back["labels"]),), (rows,))
     return np.array(back["labels"], dtype=np.int64)
 
 

@@ -9,7 +9,9 @@ in a transcript (a send that raises leaves no trace); messages are
 decoded on access.  ``Hub.exchange`` is one delivery: a send, then the
 receiver taking that message before anything else is sent; every other
 module delivers each of its messages this way and never calls
-``Hub.send`` or ``Hub.recv`` itself.
+``Hub.send`` or ``Hub.recv`` itself.  ``Hub.exchange_matrix`` delivers
+one matrix: every matrix delivery is checked on receipt by kind, sender
+and shape, and a mis-shaped one raises ``ProtocolError`` there.
 Transcripts are the audit surface: boundary checks are declarative
 predicates evaluated over them after a protocol run.
 
@@ -137,6 +139,22 @@ def unpack_matrix(payload: bytes) -> np.ndarray:
         raise ProtocolError("matrix payload size mismatch")
     return np.frombuffer(payload, "<f8", rows * cols, offset=8).reshape(
         rows, cols).copy()
+
+
+def expect_shape(kind: MessageKind, sender: str, got: tuple,
+                 want: tuple) -> None:
+    """Refuse a received payload of shape ``got`` where ``want`` is due."""
+    if got != want:
+        raise ProtocolError(f"{MessageKind(kind).name} from {sender} has "
+                            f"shape {got}, expected {want}")
+
+
+def receive_matrix(kind: MessageKind, sender: str, payload: bytes,
+                   expect: tuple, unpack=unpack_matrix) -> np.ndarray:
+    """The matrix of shape ``expect`` that ``sender`` packed."""
+    mat = unpack(payload)
+    expect_shape(kind, sender, mat.shape, expect)
+    return mat
 
 
 def _pack_blobs(blobs: Iterable[bytes]) -> bytes:
@@ -419,6 +437,16 @@ class Hub:
         """Send one message and take its delivery at the receiver."""
         self.send(sender, receiver, kind, payload, batch_tag)
         return self.recv(receiver, sender, kind)
+
+    def exchange_matrix(self, sender: str, receiver: str, kind: MessageKind,
+                        array, expect: tuple, batch_tag: int | None = None,
+                        *, codec=(pack_matrix, unpack_matrix)) -> np.ndarray:
+        """Deliver ``array``, which the receiver takes as a matrix of
+        shape ``expect``; ``codec`` is (pack, unpack) as the caller names
+        them, for profilers that wrap them there (``bench/spans.py``)."""
+        msg = self.exchange(sender, receiver, kind, codec[0](array),
+                            batch_tag)
+        return receive_matrix(kind, sender, msg.payload, expect, codec[1])
 
     def close(self) -> None:
         for ch in self._channels.values():

@@ -207,11 +207,14 @@ def test_round_rejects_bad_inputs(keypairs):
 @pytest.mark.parametrize("encrypted", [True, False])
 def test_round_rejects_a_cross_term_of_the_wrong_shape(keypairs, monkeypatch,
                                                         encrypted):
-    # a (1, d) cross term would broadcast over the (6, d) plaintext part
+    # a (1, d) cross term would broadcast over the (6, d) plaintext part;
+    # only B's, the round's last message, is cut
     codec = mpdl.dual._PaillierCodec if encrypted else mpdl.dual._ShadowCodec
     original = codec.cross
 
     def first_row(self, pk, sealed, mult, sender):
+        if sender == "B":  # A crosses B's sealed residual
+            return original(self, pk, sealed, mult, sender)
         if encrypted:
             # the sealed residual is cut to match, so only the cross
             # term's shape is wrong
@@ -385,7 +388,7 @@ def _open_cross_term(keypairs, mult):
     codec = mpdl.dual._PaillierCodec(random.Random(6), paillier.serial_map)
     sealed = codec.seal(keys_b, np.array([-RESIDUAL_CLIP]))
     payload = codec.cross(keys_b.public, sealed, np.array([[mult]]), "B")
-    return codec.open(keys_b.secret, payload, "A")
+    return codec.open(keys_b.secret, payload, "A", (1, 1))
 
 
 def test_cross_refuses_a_multiplier_that_could_reach_the_bound(keypairs):
@@ -424,7 +427,7 @@ def test_open_refuses_a_plaintext_at_the_bound(keypairs):
     def opened(m):
         ct = paillier.encrypt_mantissa(pk, m % pk.n, rng)
         return codec.open(keys_b.secret, pack_ciphers(
-            pk.key_id, DEFAULT_SCALE ** 2, 1, 1, (ct,)), "A")
+            pk.key_id, DEFAULT_SCALE ** 2, 1, 1, (ct,)), "A", (1, 1))
 
     for m in (bound - 1, -(bound - 1)):
         assert opened(m)[0, 0] == m / DEFAULT_SCALE ** 2

@@ -1,6 +1,7 @@
 """Masked matrix products, representation building, link AUC."""
 
 import math
+import re
 import threading
 
 import numpy as np
@@ -17,7 +18,8 @@ from mpdl.graph import (_average_ranks, complete_feature_matrix,
                         node_representations)
 from mpdl.nn import DenseLayer, Mlp, init_mlp, mlp_forward
 from mpdl.synthetic import linked_graph
-from mpdl.transport import Hub, MessageKind, ProtocolError, unpack_matrix
+from mpdl.transport import Hub, MessageKind, ProtocolError, pack_matrix, \
+    unpack_matrix
 
 
 def identity_pair(d_a, d_b):
@@ -100,6 +102,30 @@ def test_confusion_protocol_aborts_when_solvable(hub):
         confusion_protocol(np.ones((5, 4)), np.ones((4, 2)), rng, hub)
     with pytest.raises(ValueError):
         confusion_protocol(np.ones((2, 4)), np.ones((5, 2)), rng, hub)
+
+
+@pytest.mark.parametrize("sender, cut, got, want", [
+    ("B", np.s_[:-1], (6, 4), (7, 4)),
+    ("A", np.s_[:1], (1, 4), (3, 4)),
+], ids=["masked-factor", "masked-product"])
+def test_confusion_protocol_rejects_a_mis_shaped_block(hub, monkeypatch,
+                                                       sender, cut, got,
+                                                       want):
+    # unchecked, a one-row masked product would come back as a one-row
+    # result and a short masked factor as numpy's matmul error
+    rng = np.random.default_rng(4)
+    exchange = hub.exchange
+
+    def tampered(src, dst, kind, payload, batch_tag=None):
+        if kind == MessageKind.MatrixBlock and src == sender:
+            payload = pack_matrix(unpack_matrix(payload)[cut])
+        return exchange(src, dst, kind, payload, batch_tag)
+
+    monkeypatch.setattr(hub, "exchange", tampered)
+    message = f"MatrixBlock from {sender} has shape {got}, expected {want}"
+    with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+        confusion_protocol(rng.normal(size=(3, 7)), rng.normal(size=(7, 4)),
+                           rng, hub)
 
 
 def test_confusion_protocol_transcript_hides_factors():

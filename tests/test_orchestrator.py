@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,8 @@ from mpdl.orchestrator import (MpdlConfig, inference_mae, mpdl_train,
 from mpdl.paillier import keygen
 from mpdl.synthetic import linear_task
 from mpdl.transport import ACTORS, Hub, MessageKind, ProtocolError, \
-    encode_message, pack_json, pack_matrix, unpack_matrix
+    encode_message, pack_json, pack_matrix, pack_tokens, unpack_json, \
+    unpack_matrix, unpack_tokens
 
 
 FAST = dict(epsilon=math.inf, dual_epochs=2, central_epochs=5,
@@ -465,14 +467,47 @@ def test_predict_unlabeled_aligned_rows_use_true_features(world):
 def test_predict_unlabeled_absent_ids_take_inferred_path(world):
     result = run(world, close=False, max_iters=1, threshold=2.0)
     x_a = result.state_a.store.rows(list(world.split.a_only[:6]))
-    no_ids = predict_unlabeled(result, x_a, None)
     unknown = predict_unlabeled(result, x_a, [f"ghost{i}" for i in range(6)])
-    assert np.array_equal(no_ids, unknown)
 
     from mpdl.dual import dual_infer
     want = split_predict(result.hub, result.model_dual, x_a,
                          dual_infer(result.state_a.model, x_a))
-    assert np.array_equal(no_ids, want)
+    assert np.array_equal(unknown, want)
+
+
+# each routed delivery, one row short: unchecked, B's short token list
+# would surface as a PartialSum from B, a short InferredBatch as an
+# IndexError, and C's short label list would be returned as it stood
+@pytest.mark.parametrize("kind, sender, cut", [
+    (MessageKind.BlindedIds, "A",
+     lambda p: pack_tokens(unpack_tokens(p)[:-1])),
+    (MessageKind.InferredBatch, "A",
+     lambda p: pack_matrix(unpack_matrix(p)[:-1])),
+    (MessageKind.Control, "C",
+     lambda p: pack_json({"labels": unpack_json(p)["labels"][:-1]})),
+], ids=["tokens", "inferred", "labels"])
+def test_predict_unlabeled_rejects_a_short_delivery(world, monkeypatch, kind,
+                                                    sender, cut):
+    result = run(world, close=False, max_iters=1, threshold=2.0)
+    hub = result.hub
+    exchange = hub.exchange
+
+    def tampered(src, dst, k, payload, batch_tag=None):
+        if k == kind and src == sender:
+            payload = cut(payload)
+        return exchange(src, dst, k, payload, batch_tag)
+
+    monkeypatch.setattr(hub, "exchange", tampered)
+    ids = list(world.split.a_only[:6])
+    width = (result.state_b.store.features.shape[1],) \
+        if kind == MessageKind.InferredBatch else ()
+    message = f"{kind.name} from {sender} has shape {(5, *width)}, " \
+        f"expected {(6, *width)}"
+    try:
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            predict_unlabeled(result, result.state_a.store.rows(ids), ids)
+    finally:
+        hub.close()
 
 
 def test_predict_unlabeled_shape_guard(world):

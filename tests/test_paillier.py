@@ -7,7 +7,9 @@ All oracles: plain Python arithmetic on the same inputs.
 import math
 import multiprocessing
 import os
+import pickle
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -405,6 +407,20 @@ def test_parallel_map_joins_its_workers_when_the_block_raises():
             assert pmap(abs, [-2, 3, -4]) == [2, 3, 4]
             raise RuntimeError("injected")
     assert multiprocessing.active_children() == []
+
+
+def test_worker_returns_when_its_caller_left_without_the_reply():
+    # the caller closes its end after the request: the reply meets a
+    # broken pipe, and the worker must return rather than raise
+    parent, child = multiprocessing.get_context("fork").Pipe()
+    parent.send_bytes(pickle.dumps((abs, [-1, 2])))
+    parent.close()
+    handler = signal.getsignal(signal.SIGINT)
+    try:
+        assert paillier._worker(child, []) is None
+    finally:
+        signal.signal(signal.SIGINT, handler)
+        child.close()
 
 
 def test_cross_key_and_scale_guards(keys):

@@ -52,6 +52,32 @@ def test_only_transport_sends_or_receives_on_a_hub():
     assert calls == []
 
 
+# top-level definitions outside the transport that call unpack_matrix,
+# and why each may take a matrix without a receiver's shape check
+UNCHECKED_MATRIX_READS = {
+    "selftest.transport_frames_round_trip":
+        "decodes a frame it encoded itself; no hub delivers it",
+}
+
+
+def test_only_transport_reads_a_matrix_payload():
+    # a matrix delivered through Hub.exchange_matrix (or read with
+    # transport.receive_matrix) is checked by kind, sender and shape on
+    # receipt; a bare unpack_matrix would take a delivery of any shape
+    readers = set()
+    for path in sorted((ROOT / "src" / "mpdl").glob("*.py")):
+        if path.name == "transport.py":
+            continue
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and "unpack_matrix" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    readers.add(f"{path.stem}."
+                                f"{getattr(stmt, 'name', '<module>')}")
+    assert readers == set(UNCHECKED_MATRIX_READS)
+
+
 # parameters that keep a default no production call overrides, and why
 UNSET_ON_PURPOSE = {
     "transport.Hub(timeout)": "a deployment setting, like an address",
