@@ -43,9 +43,9 @@ def main() -> None:
     hub = Hub()
     run_dual_round(state_a, state_b, ids, hub, random.Random(3))
     print("== the eight messages of one round ==")
-    for msg in hub.transcript:
+    for msg, frame in zip(hub.transcript, hub.transcript.frames()):
         print(f"  #{msg.msg_id}  {msg.sender} -> {msg.receiver}  "
-              f"{msg.kind.name:<13} {len(msg.payload):>6} bytes")
+              f"{msg.kind.name:<13} {len(frame):>6} bytes framed")
 
     report = transcript_assert(hub.transcript, {
         "B's rows never reach A": forbid_plaintext_rows("A", x_b),

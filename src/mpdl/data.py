@@ -149,13 +149,6 @@ class FeatureSplit:
     cols_a: tuple[int, ...]
     cols_b: tuple[int, ...]
 
-    def reassemble(self) -> np.ndarray:
-        full = np.empty((self.party_a.features.shape[0],
-                         len(self.cols_a) + len(self.cols_b)))
-        full[:, list(self.cols_a)] = self.party_a.features
-        full[:, list(self.cols_b)] = self.party_b.features
-        return full
-
 
 def partition_features(ds: PartyDataset,
                        seed: int | None = None) -> FeatureSplit:

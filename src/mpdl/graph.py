@@ -23,15 +23,6 @@ CONDITION_LIMIT = 1e8
 CONFUSION_TRIES = 32
 
 
-def node_representations(adj, feat) -> np.ndarray:
-    """M_rep = adjacency @ features; unknown adjacency rows stay zero."""
-    a = as_batch(adj)
-    f = as_batch(feat)
-    if a.shape[1] != f.shape[0]:
-        raise ValueError("adjacency columns must match feature rows")
-    return a @ f
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """A well-conditioned random square mask and its cached inverse."""

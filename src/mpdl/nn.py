@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "identity", "sigmoid", "softmax")
+ACTIVATIONS = ("relu", "identity", "softmax")
 
 
 def as_batch(x, width: int | None = None) -> np.ndarray:
@@ -41,14 +41,6 @@ def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if name == "identity":
         return z
-    if name == "sigmoid":
-        # equivalent to scipy.special.expit, kept local to stay branch-free
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
     if name == "softmax":
         shifted = z - z.max(axis=1, keepdims=True)
         e = np.exp(shifted)
@@ -62,9 +54,6 @@ def activation_prime(name: str, z: np.ndarray) -> np.ndarray:
         return (z > 0.0).astype(np.float64)
     if name == "identity":
         return np.ones_like(z)
-    if name == "sigmoid":
-        s = apply_activation("sigmoid", z)
-        return s * (1.0 - s)
     if name == "softmax":
         raise ValueError("softmax has no elementwise derivative; it is "
                          "handled by the fused output-gradient convention")

@@ -24,7 +24,6 @@ reflect exactly what each actor could have observed.  Per run:
 from __future__ import annotations
 
 import hashlib
-import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from random import Random
@@ -43,9 +42,9 @@ from .nn import apply_activation, as_batch, dual_hidden_width, init_mlp, \
     mlp_forward, sgd_step
 from .paillier import keygen, parallel_map, serial_map
 from .privacy import SENSITIVITY_MODES, DpConfig, OneShotPerturber
-from .transport import Hub, MessageKind, ProtocolError, expect_shape, \
-    pack_json, pack_matrix, pack_tokens, unpack_json, unpack_matrix, \
-    unpack_tokens
+from .transport import Hub, MessageKind, ProtocolError, ProtocolMessage, \
+    expect_shape, pack_json, pack_matrix, pack_tokens, unpack_json, \
+    unpack_matrix, unpack_tokens
 
 # the share of rows held back as the test block; `mpdl --test-fraction`
 # overrides it
@@ -144,13 +143,6 @@ class RunReport:
     inference_mae: float
     config: dict
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["config"] = {k: (repr(v) if isinstance(v, float) and
-                             math.isinf(v) else v)
-                        for k, v in out["config"].items()}
-        return out
-
 
 @dataclass
 class MpdlResult:
@@ -168,12 +160,28 @@ def _rng_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
+def _control_field(msg: ProtocolMessage, name: str, container: type,
+                   item: type):
+    """Field ``name`` of a ``Control`` payload: a ``container`` (list or
+    dict) whose every element, or a dict's every value, is an ``item``;
+    anything else raises ``ProtocolError`` naming the kind and sender."""
+    body = unpack_json(msg.payload)
+    value = body.get(name) if isinstance(body, dict) else None
+    if not isinstance(value, container) or not all(
+            isinstance(v, item) for v in
+            (value.values() if isinstance(value, dict) else value)):
+        raise ProtocolError(f"{msg.kind.name} from {msg.sender} holds no "
+                            f"{container.__name__} of "
+                            f"{name.replace('_', ' ')}")
+    return value
+
+
 def _labels_to_c(hub: Hub, party_b: PartyDataset) -> dict:
     """B hands C the labels of its rows once, keyed by opaque repr."""
     payload = {repr(i): int(l) for i, l in zip(party_b.ids, party_b.labels)}
-    msg = hub.exchange("B", "C", MessageKind.Control,
-                       pack_json({"labels": payload}))
-    return unpack_json(msg.payload)["labels"]
+    return _control_field(hub.exchange("B", "C", MessageKind.Control,
+                                       pack_json({"labels": payload})),
+                          "labels", dict, int)
 
 
 def _partial_sums(hub: Hub, model: SplitCentralModel, x_a, x_b, rows: int):
@@ -394,15 +402,10 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
         b_only = list(split.b_only)
         if b_only:
             inferred = dual_infer(state_b.model, store_b.rows(b_only))
-            got_ids = unpack_json(hub.exchange(
+            got_ids = _control_field(hub.exchange(
                 "B", "A", MessageKind.Control, pack_json(
-                    {"supplement_ids": [repr(i) for i in b_only]})).payload)
-            got_ids = got_ids.get("supplement_ids") \
-                if isinstance(got_ids, dict) else None
-            if not isinstance(got_ids, list) or \
-                    not all(isinstance(i, str) for i in got_ids):
-                raise ProtocolError("Control from B holds no list of "
-                                    "supplement ids")
+                    {"supplement_ids": [repr(i) for i in b_only]})),
+                "supplement_ids", list, str)
             # a short block would drop ids in the zip
             received_a.update(zip(got_ids, hub.exchange_matrix(
                 "B", "A", MessageKind.InferredBatch, inferred,
@@ -483,11 +486,11 @@ def predict_unlabeled(result: MpdlResult, x_a, ids) -> np.ndarray:
                     for j, t in enumerate(got_tokens)])
 
     preds = split_predict(hub, result.model_dual, x_a, x_b)
-    back = unpack_json(hub.exchange(
+    labels = _control_field(hub.exchange(
         "C", "A", MessageKind.Control,
-        pack_json({"labels": [int(p) for p in preds]})).payload)
-    expect_shape(MessageKind.Control, "C", (len(back["labels"]),), (rows,))
-    return np.array(back["labels"], dtype=np.int64)
+        pack_json({"labels": [int(p) for p in preds]})), "labels", list, int)
+    expect_shape(MessageKind.Control, "C", (len(labels),), (rows,))
+    return np.array(labels, dtype=np.int64)
 
 
 def inference_mae(raw, inferred) -> float:

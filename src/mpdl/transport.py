@@ -32,7 +32,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from hashlib import sha256
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -360,27 +359,8 @@ class Transcript:
     def messages(self) -> list[ProtocolMessage]:
         return list(self)
 
-    def view(self, actor: str) -> list[ProtocolMessage]:
-        """Messages the actor could observe: sent by it or delivered to it."""
-        return [m for m in self if actor in (m.sender, m.receiver)]
-
-    def received_by(self, actor: str) -> list[ProtocolMessage]:
-        return [m for m in self if m.receiver == actor]
-
     def frames(self) -> list[bytes]:
         return [e.frame for e in self.entries]
-
-    def to_jsonl(self, path) -> None:
-        """One JSON object per message: its header fields, payload size
-        and payload sha256, never the payload itself."""
-        with open(path, "w") as fh:
-            for m in self:
-                row = {"msg_id": m.msg_id, "sender": m.sender,
-                       "receiver": m.receiver, "kind": m.kind.name,
-                       "batch_tag": m.batch_tag,
-                       "payload_bytes": len(m.payload),
-                       "payload_sha256": sha256(m.payload).hexdigest()}
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 class Hub:
@@ -518,22 +498,6 @@ def forbid_plaintext_values(receiver: str | None, forbidden) -> Predicate:
             if np.isin(mat.ravel(), vals).any():
                 return (f"msg {msg.msg_id} ({msg.kind.name} -> "
                         f"{msg.receiver}) carries a forbidden value")
-        return None
-
-    return pred
-
-
-def require_cipher_key(receiver: str, sender: str, key_id: str) -> Predicate:
-    """All CipherBlocks on a directed channel must be under one key."""
-
-    def pred(transcript: Transcript) -> str | None:
-        for msg in transcript:
-            if (msg.kind == MessageKind.CipherBlock and
-                    msg.receiver == receiver and msg.sender == sender):
-                found = unpack_ciphers(msg.payload)[0]
-                if found != key_id:
-                    return (f"msg {msg.msg_id} cipher key {found} != "
-                            f"expected {key_id}")
         return None
 
     return pred

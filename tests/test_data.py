@@ -134,8 +134,11 @@ def test_partition_features_reassembles():
                       np.random.default_rng(1).uniform(size=(5, 7)),
                       labels=np.zeros(5, dtype=int))
     split = partition_features(ds, seed=3)
-    assert len(split.cols_a) + len(split.cols_b) == 7
-    assert np.array_equal(split.reassemble(), ds.features)
+    assert sorted(split.cols_a + split.cols_b) == list(range(7))
+    assert np.array_equal(split.party_a.features,
+                          ds.features[:, list(split.cols_a)])
+    assert np.array_equal(split.party_b.features,
+                          ds.features[:, list(split.cols_b)])
     assert split.party_b.labels is not None
     assert split.party_a.labels is None
 

@@ -1,4 +1,4 @@
-"""Masked matrix products, representation building, link AUC."""
+"""Masked matrix products, feature completion, link AUC."""
 
 import math
 import re
@@ -14,8 +14,7 @@ from scipy.stats import rankdata
 from mpdl.dual import DualModelPair
 from mpdl.graph import (_average_ranks, complete_feature_matrix,
                         confusion_protocol, cosine_scores, holdout_edges,
-                        link_auc, link_prediction_auc, make_confusion,
-                        node_representations)
+                        link_auc, link_prediction_auc, make_confusion)
 from mpdl.nn import DenseLayer, Mlp, init_mlp, mlp_forward
 from mpdl.synthetic import linked_graph
 from mpdl.transport import Hub, MessageKind, ProtocolError, pack_matrix, \
@@ -29,39 +28,6 @@ def identity_pair(d_a, d_b):
     f = Mlp((DenseLayer(m, np.zeros(d_b), "identity"),))
     g = Mlp((DenseLayer(np.linalg.pinv(m), np.zeros(d_a), "identity"),))
     return DualModelPair(f, g), m
-
-
-# -- representations ---------------------------------------------------------------
-
-def test_node_representations_identity_adjacency():
-    feat = np.arange(12.0).reshape(4, 3)
-    assert np.array_equal(node_representations(np.eye(4), feat), feat)
-
-
-def test_node_representations_zero_rows_stay_zero():
-    feat = np.ones((3, 2))
-    adj = np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]])
-    got = node_representations(adj, feat)
-    assert np.array_equal(got[1], [0.0, 0.0])
-    assert np.array_equal(got[0], [2.0, 2.0])
-
-
-def test_node_representations_matches_triple_loop():
-    rng = np.random.default_rng(1)
-    adj = (rng.random((6, 8)) < 0.4).astype(float)
-    feat = rng.normal(size=(8, 3))
-    got = node_representations(adj, feat)
-    for i in range(6):
-        for j in range(3):
-            acc = 0.0
-            for k in range(8):
-                acc += adj[i, k] * feat[k, j]
-            assert got[i, j] == pytest.approx(acc, rel=1e-12)
-
-
-def test_node_representations_shape_guard():
-    with pytest.raises(ValueError):
-        node_representations(np.eye(3), np.ones((4, 2)))
 
 
 # -- the confusion protocol -----------------------------------------------------------

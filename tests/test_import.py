@@ -1,6 +1,6 @@
 """Start-up cost: importing the package must not load ``scipy.stats``,
 nor ``multiprocessing``, which only an encrypted run's dual training
-loads."""
+loads; the package root itself loads none of its modules."""
 
 import subprocess
 import sys
@@ -27,3 +27,8 @@ def test_import_leaves_scipy_stats_unloaded(module):
 @pytest.mark.parametrize("module", ["mpdl", "mpdl.cli"])
 def test_import_leaves_multiprocessing_unloaded(module):
     assert _loaded_after_import(module, "multiprocessing") == "[]"
+
+
+def test_import_of_the_package_root_loads_no_module_of_it():
+    # the root exports nothing: callers import each name from its module
+    assert _loaded_after_import("mpdl", "mpdl") == "['mpdl']"

@@ -49,17 +49,14 @@ def test_relu_layer_clamps_negatives():
 
 def test_forward_matches_hand_rolled_matrix_arithmetic():
     rng = np.random.default_rng(3)
-    model = small_net([4, 3, 2], ["sigmoid", "identity"], seed=3)
+    model = small_net([4, 3, 2], ["relu", "identity"], seed=3)
     x = rng.normal(size=(5, 4))
 
     # independent oracle: explicit loops, no shared code path
-    def sig(v):
-        return 1.0 / (1.0 + math.exp(-v))
-
     expected = np.empty((5, 2))
     for r in range(5):
-        h = [sig(sum(model.layers[0].weights[j, k] * x[r, k]
-                     for k in range(4)) + model.layers[0].bias[j])
+        h = [max(0.0, sum(model.layers[0].weights[j, k] * x[r, k]
+                          for k in range(4)) + model.layers[0].bias[j])
              for j in range(3)]
         for o in range(2):
             expected[r, o] = sum(model.layers[1].weights[o, j] * h[j]
@@ -125,7 +122,7 @@ def test_zero_out_grad_gives_zero_gradients():
 def test_gradients_match_finite_differences_three_layer(loss_kind):
     """Central finite differences over every parameter of a 3-layer net."""
     rng = np.random.default_rng(11)
-    acts = ["sigmoid", "sigmoid", "softmax" if loss_kind == "cross_entropy"
+    acts = ["relu", "relu", "softmax" if loss_kind == "cross_entropy"
             else "identity"]
     model = small_net([3, 4, 3, 2], acts, seed=11)
     x = rng.uniform(-1, 1, size=(7, 3))

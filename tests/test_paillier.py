@@ -9,7 +9,6 @@ import multiprocessing
 import os
 import pickle
 import random
-import signal
 
 import numpy as np
 import pytest
@@ -410,17 +409,23 @@ def test_parallel_map_joins_its_workers_when_the_block_raises():
 
 
 def test_worker_returns_when_its_caller_left_without_the_reply():
-    # the caller closes its end after the request: the reply meets a
-    # broken pipe, and the worker must return rather than raise
-    parent, child = multiprocessing.get_context("fork").Pipe()
-    parent.send_bytes(pickle.dumps((abs, [-1, 2])))
-    parent.close()
-    handler = signal.getsignal(signal.SIGINT)
+    # the caller sends one job and closes its end before the worker
+    # starts: the reply meets a broken pipe, and the worker process must
+    # exit quietly (an uncaught BrokenPipeError exits 1)
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe()
+    here.send_bytes(pickle.dumps((abs, [-1, 2])))
+    here.close()
+    proc = ctx.Process(target=paillier._worker, args=(there, []))
+    proc.start()
+    there.close()
     try:
-        assert paillier._worker(child, []) is None
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
     finally:
-        signal.signal(signal.SIGINT, handler)
-        child.close()
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
 
 
 def test_cross_key_and_scale_guards(keys):

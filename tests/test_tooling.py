@@ -2,6 +2,7 @@
 and rules about the package's source that no single module test sees."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -138,14 +139,25 @@ def _defaulted_parameters():
     return found
 
 
+def _production_sources():
+    """Every production source, parsed: the package's modules (not its
+    ``__init__``), the bench, the demos and README's python blocks."""
+    paths = [p for d in ("src/mpdl", "bench", "demos")
+             for p in sorted((ROOT / d).glob("*.py"))
+             if p.name != "__init__.py"]
+    trees = [ast.parse(p.read_text(), str(p)) for p in paths]
+    readme = (ROOT / "README.md").read_text()
+    trees += [ast.parse(block, "README.md") for block in
+              re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)]
+    return trees
+
+
 def _production_calls():
     """Called name -> [(positional count, keyword names)]; a ``*`` splat
     counts as every position and a ``**`` splat as every keyword."""
     calls = {}
-    paths = [p for d in ("src/mpdl", "bench", "demos")
-             for p in sorted((ROOT / d).glob("*.py"))]
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in _production_sources():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or \
@@ -167,3 +179,65 @@ def test_every_optional_parameter_has_a_production_caller():
                         (index is not None and count > index)
                         for count, keywords in calls.get(name, ()))]
     assert sorted(unset) == sorted(UNSET_ON_PURPOSE)
+
+
+# public names whose only callers are tests, and why each stays
+TEST_ONLY_ON_PURPOSE = {
+    "paillier.encrypt_mantissa":
+        "tests encrypt raw mantissas that no float encodes",
+    "privacy.effective_scale":
+        "the test oracle for the per-entry Laplace scale",
+}
+
+
+def _public_definitions():
+    """(label, name) for each public module-level function and class of
+    the package, and each public method of those classes."""
+    found = []
+    for path in sorted((ROOT / "src" / "mpdl").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("_"):
+                continue
+            found.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                found.extend((f"{path.stem}.{node.name}.{m.name}", m.name)
+                             for m in node.body
+                             if isinstance(m, ast.FunctionDef) and
+                             not m.name.startswith("_"))
+    return found
+
+
+def _production_names():
+    """Names that production code reads, by name or as an attribute,
+    outside a definition of the same name; a selftest check registered
+    with ``@_check`` counts as read."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if any(getattr(d, "id", None) == "_check"
+                   for d in node.decorator_list):
+                used.add(node.name)
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and \
+                isinstance(node.ctx, ast.Load):
+            used.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            used.update({node.attr} - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for tree in _production_sources():
+        visit(tree, frozenset())
+    return used
+
+
+def test_every_public_name_has_a_production_caller():
+    # a public function, class or method that only tests reach is code
+    # no run uses: delete it, or say here why a test needs it
+    used = _production_names()
+    unused = [label for label, name in _public_definitions()
+              if name not in used]
+    assert sorted(unused) == sorted(TEST_ONLY_ON_PURPOSE)

@@ -1,7 +1,6 @@
 """Message framing, channel semantics, transcripts and boundary predicates."""
 
 import gc
-import json
 import struct
 import threading
 import tracemalloc
@@ -16,7 +15,7 @@ from mpdl.transport import (ACTORS, Hub, MessageKind, ProtocolError,
                             decode_message, encode_message,
                             forbid_plaintext_rows, forbid_plaintext_values,
                             pack_ciphers, pack_json, pack_matrix, pack_tokens,
-                            require_cipher_key, transcript_assert,
+                            transcript_assert,
                             unpack_ciphers, unpack_json, unpack_matrix,
                             unpack_tokens)
 
@@ -420,29 +419,6 @@ def test_transcript_keeps_each_frame_once():
     assert retained < 1.25 * frame_bytes
 
 
-def test_transcript_views():
-    hub = Hub()
-    _run_script(hub)
-    t = hub.transcript
-    assert len(t) == 3
-    assert [m.kind for m in t.view("A")] == [MessageKind.InferredBatch,
-                                             MessageKind.GradTerm]
-    assert [m.sender for m in t.received_by("C")] == ["B"]
-    hub.close()
-
-
-def test_transcript_jsonl(tmp_path):
-    hub = Hub()
-    _run_script(hub)
-    path = tmp_path / "t.jsonl"
-    hub.transcript.to_jsonl(path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) == 3
-    assert rows[0]["kind"] == "InferredBatch"
-    assert "payload_sha256" in rows[0] and "payload_hex" not in rows[0]
-    hub.close()
-
-
 # -- boundary predicates -------------------------------------------------------------
 
 def test_transcript_assert_empty_is_vacuous_pass():
@@ -501,19 +477,6 @@ def test_forbid_plaintext_values():
     ok = transcript_assert(hub.transcript,
                            {"v": forbid_plaintext_values("A", [0.778])})
     assert ok.ok
-    hub.close()
-
-
-def test_require_cipher_key():
-    hub = Hub()
-    payload = pack_ciphers("0123456789abcdef", 2 ** 40, 1, 1, (42,))
-    hub.send("A", "B", MessageKind.CipherBlock, payload)
-    good = transcript_assert(hub.transcript, {
-        "key": require_cipher_key("B", "A", "0123456789abcdef")})
-    assert good.ok
-    bad = transcript_assert(hub.transcript, {
-        "key": require_cipher_key("B", "A", "ffffffffffffffff")})
-    assert not bad.ok
     hub.close()
 
 
