@@ -7,10 +7,13 @@ instead of underflowing to ``log 0``.
 
 Kernels are evaluated as one (batch, support) matrix per call: squared
 distances from ``scipy.spatial.distance.cdist``, scaled in place by
--1 / (2 h^2), then reduced in place by the log-sum-exp and softmax of
-Blanchard, Higham & Higham (IMA J. Numer. Anal. 2021), step for step as
-``scipy.special`` computes them.  No batch x support x d tensor and no
-second full-size temporary is made.
+-1 / (2 h^2) and shifted by each row's maximum before ``exp``.  That one
+matrix is reduced in place by the log-sum-exp and softmax of Blanchard,
+Higham & Higham (IMA J. Numer. Anal. 2021), step for step as
+``scipy.special`` computes them.  ``grad_log_density_batch(..., out=)``
+takes both from the same matrix, so the dual round builds one kernel
+matrix per received batch, not two.  No batch x support x d tensor and
+no second full-size temporary is made.
 
 A row's log-density must not depend on the batch it is computed in:
 the transcript boundary predicates (``transport.forbid_plaintext_values``
@@ -87,34 +90,54 @@ def _log_kernels(model: KdeModel, x: np.ndarray) -> np.ndarray:
     return sq
 
 
-def log_density_batch(model: KdeModel, x) -> np.ndarray:
-    """Log-density of each row of ``x`` under the fitted estimator."""
-    xb = as_batch(x, model.dim)
+def _shifted_kernels(model: KdeModel, xb: np.ndarray):
+    """exp(k - max k) of each row's kernel logs k, in one matrix.
+
+    Returns that matrix, the row maxima (batch, 1) and the mask of the
+    entries at their row's maximum; those entries are exactly 1.0.
+    """
+    e = _log_kernels(model, xb)
+    top = e.max(axis=1, keepdims=True)
+    is_top = e == top
+    e -= top
+    np.exp(e, out=e)
+    return e, top, is_top
+
+
+def _log_sum_exp(model: KdeModel, e: np.ndarray, top: np.ndarray,
+                 is_top: np.ndarray) -> np.ndarray:
+    """Log-density from ``_shifted_kernels``' output; zeroes the tops."""
     n, d = model.support.shape
     norm = math.log(n) + d * math.log(model.bandwidth) \
         + 0.5 * d * math.log(2.0 * math.pi)
-    k = _log_kernels(model, xb)
-    top = k.max(axis=1, keepdims=True)
-    is_top = k == top
-    k -= top
-    np.exp(k, out=k)
     # The max terms are counted, not summed: log-sum-exp is then
     # log1p(rest / count) + log(count) + max.
-    k[is_top] = 0.0
+    e[is_top] = 0.0
     m = is_top.sum(axis=1)
-    return np.log1p(k.sum(axis=1) / m) + np.log(m) + top[:, 0] - norm
+    return np.log1p(e.sum(axis=1) / m) + np.log(m) + top[:, 0] - norm
 
 
-def grad_log_density_batch(model: KdeModel, x) -> np.ndarray:
+def log_density_batch(model: KdeModel, x) -> np.ndarray:
+    """Log-density of each row of ``x`` under the fitted estimator."""
+    xb = as_batch(x, model.dim)
+    return _log_sum_exp(model, *_shifted_kernels(model, xb))
+
+
+def grad_log_density_batch(model: KdeModel, x, out=None) -> np.ndarray:
     """Gradient of the log-density at each row of ``x``.
 
     Analytic form: with softmax weights w_i over the per-sample kernel
-    logs, the gradient is sum_i w_i (x_i - x) / h^2.
+    logs, the gradient is sum_i w_i (x_i - x) / h^2.  Given ``out``, a
+    float array of one entry per row, it is filled with the rows'
+    log-densities, the same bits as ``log_density_batch(model, x)``,
+    from the same kernel matrix.
     """
     xb = as_batch(x, model.dim)
-    w = _log_kernels(model, xb)
-    w -= w.max(axis=1, keepdims=True)
-    np.exp(w, out=w)
+    if out is not None and out.shape != (xb.shape[0],):
+        raise ValueError(f"out has shape {out.shape}, want ({xb.shape[0]},)")
+    w, top, is_top = _shifted_kernels(model, xb)
+    if out is not None:
+        out[...] = _log_sum_exp(model, w, top, is_top)
+        w[is_top] = 1.0  # exp(0), as the softmax sums them
     w /= w.sum(axis=1, keepdims=True)
     return (w @ model.support - xb) / model.bandwidth ** 2
-

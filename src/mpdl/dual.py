@@ -261,9 +261,10 @@ class _RoundHalf:
         s = self.state
         xhat = self.received_xhat
         _, align_grad = loss_eval("mse", xhat, self.batch)
-        logp_xhat = log_density_batch(s.kde, xhat)
+        # log P(xhat) comes from the gradient's kernel matrix
+        logp_xhat = np.empty(xhat.shape[0])
+        grad_logp = grad_log_density_batch(s.kde, xhat, out=logp_xhat)
         logp_x = s.own_log_density(self.batch_ids)
-        grad_logp = grad_log_density_batch(s.kde, xhat)
         own_resid = np.clip(logp_xhat - logp_x, -RESIDUAL_CLIP, RESIDUAL_CLIP)
         plain_part = align_grad + s.lam * self.factor * grad_logp * \
             own_resid[:, None] / xhat.shape[0]

@@ -86,12 +86,16 @@ def laplace_noise_moments():
 
 @_check
 def kde_log_density_matches_naive_sum():
-    from .density import fit_kde, log_density_batch
+    from .density import fit_kde, grad_log_density_batch, log_density_batch
     rng = np.random.default_rng(5)
     support = rng.uniform(size=(40, 3))
     x = rng.uniform(size=(6, 3))
     model = fit_kde(support)
     got = log_density_batch(model, x)
+    # log P as the dual round takes it, from the gradient's kernel matrix
+    fused = np.empty(x.shape[0])
+    grad_log_density_batch(model, x, out=fused)
+    assert np.array_equal(fused, got)
     h = model.bandwidth
     n, d = support.shape
     for j in range(x.shape[0]):
@@ -99,7 +103,8 @@ def kde_log_density_matches_naive_sum():
                     for s in support)
         expected = math.log(total / (n * h ** d * (2 * math.pi) ** (d / 2)))
         assert abs(got[j] - expected) < 1e-10
-    return "naive kernel sum agreement on 6 query points"
+        assert abs(fused[j] - expected) < 1e-10
+    return "naive kernel sum agreement on 6 query points, both reductions"
 
 
 @_check

@@ -134,6 +134,8 @@ def test_dimension_mismatch_rejected():
     model = fit_kde(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         log_density_batch(model, np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        grad_log_density_batch(model, np.zeros((3, 2)), out=np.empty(2))
 
 
 def test_wide_feature_space_warns():
@@ -156,6 +158,22 @@ def scipy_reference(model, x):
     return logp, grad
 
 
+def fused(model, x):
+    """Log-density and gradient from one ``grad_log_density_batch`` call."""
+    logp = np.empty(len(x))
+    grad = grad_log_density_batch(model, x, out=logp)
+    return logp, grad
+
+
+def assert_matches_scipy(model, xs):
+    want_logp, want_grad = scipy_reference(model, xs)
+    assert np.array_equal(log_density_batch(model, xs), want_logp)
+    assert np.array_equal(grad_log_density_batch(model, xs), want_grad)
+    got_logp, got_grad = fused(model, xs)
+    assert np.array_equal(got_logp, want_logp)
+    assert np.array_equal(got_grad, want_grad)
+
+
 @pytest.mark.parametrize("width", range(1, 13))
 def test_matches_scipy_reductions_bit_for_bit(width):
     rng = np.random.default_rng(100 + width)
@@ -167,9 +185,7 @@ def test_matches_scipy_reductions_bit_for_bit(width):
     xs = np.vstack([rng.uniform(-0.5, 1.5, size=(25, width)),
                     support[3:4],
                     np.full((1, width), 40.0)])
-    want_logp, want_grad = scipy_reference(model, xs)
-    assert np.array_equal(log_density_batch(model, xs), want_logp)
-    assert np.array_equal(grad_log_density_batch(model, xs), want_grad)
+    assert_matches_scipy(model, xs)
 
 
 def test_matches_scipy_far_from_the_support():
@@ -181,9 +197,7 @@ def test_matches_scipy_far_from_the_support():
     rest = np.exp(k - k.max(axis=1, keepdims=True))
     rest[k == k.max(axis=1, keepdims=True)] = 0.0
     assert np.all(rest.sum(axis=1) == 0.0)
-    want_logp, want_grad = scipy_reference(model, far)
-    assert np.array_equal(log_density_batch(model, far), want_logp)
-    assert np.array_equal(grad_log_density_batch(model, far), want_grad)
+    assert_matches_scipy(model, far)
 
 
 @pytest.mark.parametrize("width", [1, 4])
@@ -191,9 +205,7 @@ def test_matches_scipy_with_one_support_row(width):
     rng = np.random.default_rng(width)
     model = fit_kde(rng.uniform(size=(1, width)))
     xs = rng.uniform(-1.0, 2.0, size=(9, width))
-    want_logp, want_grad = scipy_reference(model, xs)
-    assert np.array_equal(log_density_batch(model, xs), want_logp)
-    assert np.array_equal(grad_log_density_batch(model, xs), want_grad)
+    assert_matches_scipy(model, xs)
 
 
 @pytest.mark.parametrize("width", [1, 3, 10])
@@ -209,6 +221,7 @@ def test_row_value_does_not_depend_on_its_batch(width):
     whole_kern = _log_kernels(model, xs)
     whole_logp = log_density_batch(model, xs)
     whole_grad = grad_log_density_batch(model, xs)
+    assert np.array_equal(fused(model, xs)[0], whole_logp)
     for size in (1, 32):
         for start in range(0, 100, size):
             rows = slice(start, start + size)
@@ -216,12 +229,15 @@ def test_row_value_does_not_depend_on_its_batch(width):
                                   whole_kern[rows])
             assert np.array_equal(log_density_batch(model, xs[rows]),
                                   whole_logp[rows])
-            np.testing.assert_allclose(
-                grad_log_density_batch(model, xs[rows]), whole_grad[rows],
-                rtol=1e-13, atol=1e-13)
+            part_logp, part_grad = fused(model, xs[rows])
+            assert np.array_equal(part_logp, whole_logp[rows])
+            for grad in (grad_log_density_batch(model, xs[rows]), part_grad):
+                np.testing.assert_allclose(grad, whole_grad[rows],
+                                           rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("fn", [log_density_batch, grad_log_density_batch])
+@pytest.mark.parametrize("fn", [log_density_batch, grad_log_density_batch,
+                                fused])
 def test_peak_memory_is_one_kernel_matrix(fn):
     batch, n_support, width = 500, 2_000, 20
     rng = np.random.default_rng(4)

@@ -624,6 +624,40 @@ def test_own_rows_evaluated_once_per_run(keypairs, monkeypatch):
                 for row in st.store.features] == [1] * len(st.store.ids)
 
 
+def test_one_kernel_matrix_per_received_batch(keypairs, monkeypatch):
+    # The first epoch fills each party's own-row log P table; after it, a
+    # round's only kernel matrices are each party's one for the batch its
+    # partner generated.
+    built = []
+    original = mpdl.density._log_kernels
+
+    def counting(model, x):
+        built.append(id(model))
+        return original(model, x)
+
+    monkeypatch.setattr(mpdl.density, "_log_kernels", counting)
+    state_a, state_b = make_states(keypairs)
+    ids = state_a.store.ids
+    order_rng = np.random.default_rng(21)
+    later_rounds = []
+    hub = Hub()
+    try:
+        for epoch in range(3):
+            order = order_rng.permutation(len(ids))
+            for start in range(0, len(ids), 4):
+                built.clear()
+                run_dual_round(state_a, state_b,
+                               [ids[k] for k in order[start:start + 4]],
+                               hub, random.Random(start),
+                               use_encryption=False)
+                if epoch:
+                    later_rounds.append(sorted(built))
+    finally:
+        hub.close()
+    one_each = sorted([id(state_a.kde), id(state_b.kde)])
+    assert later_rounds == [one_each] * 6
+
+
 def test_own_log_density_matches_direct_evaluation(keypairs):
     state_a, _ = make_states(keypairs)
     for ids in ([3, 1, 4], [1, 5, 9, 2, 6], list(range(12)), [5]):
