@@ -34,11 +34,11 @@ def main() -> None:
     state_a = DualPartyState("A", PartyDataset(ids, x_a), fit_kde(x_a),
                              init_mlp([d_a, 6, d_b], ["relu", "identity"],
                                       init),
-                             keys_a, keys_b.public, lam=0.01, lr=0.2)
+                             keys_a, keys_b.public, lam=0.005, lr=0.2)
     state_b = DualPartyState("B", PartyDataset(ids, x_b), fit_kde(x_b),
                              init_mlp([d_b, 6, d_a], ["relu", "identity"],
                                       init),
-                             keys_b, keys_a.public, lam=0.01, lr=0.2)
+                             keys_b, keys_a.public, lam=0.005, lr=0.2)
 
     hub = Hub()
     run_dual_round(state_a, state_b, ids, hub, random.Random(3))

@@ -51,7 +51,7 @@ DEFAULTS.update(gamma=0.1, gammas="0.05,0.1,0.2,0.4,0.6,0.8",
 _TRAINING = ("seed", "repeats", "id_column", "label_column", "test_fraction",
              "sensitivity_mode", "lam", "lr", "folds", "threshold",
              "max_iters", "dual_epochs", "central_epochs", "batch_size",
-             "key_bits", "no_encryption", "exact_duality_grad")
+             "key_bits", "no_encryption")
 
 # the settings each subcommand reads: the only ones it takes as flags and
 # records in its CSV's "# config:" line
@@ -60,8 +60,7 @@ SETTINGS = {
     "privacy-sweep": ("gamma", "epsilons") + _TRAINING,
     "graph": ("gammas", "epsilon", "seed", "repeats", "id_column",
               "synthetic_nodes", "holdout_fraction", "sensitivity_mode", "lam",
-              "lr", "dual_epochs", "batch_size", "key_bits", "no_encryption",
-              "exact_duality_grad"),
+              "lr", "dual_epochs", "batch_size", "key_bits", "no_encryption"),
 }
 
 

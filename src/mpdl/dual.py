@@ -71,9 +71,10 @@ class DualPartyState:
 
     ``store`` holds the party's perturbed features (the only view of
     its data that ever feeds cross-party computation), ``kde`` is
-    fitted on that same perturbed partition.  ``lam`` weighs the
-    duality term and ``lr`` is the generator's step size; runs take
-    both from ``MpdlConfig``.
+    fitted on that same perturbed partition.  ``lam`` is the paper's
+    weight on the mean squared duality residual, so a round descends
+    mse + lam * mean(r^2); ``lr`` is the generator's step size.  Runs
+    take both from ``MpdlConfig``.
     """
 
     name: str
@@ -240,11 +241,10 @@ class _ShadowCodec:
 class _RoundHalf:
     """One party's bookkeeping while a round is in flight."""
 
-    def __init__(self, state: DualPartyState, batch_ids: tuple, factor: float):
+    def __init__(self, state: DualPartyState, batch_ids: tuple):
         self.state = state
         self.batch_ids = batch_ids
         self.batch = batch = state.store.rows(batch_ids)
-        self.factor = factor
         self.out, self.cache = mlp_forward(state.model, batch)
         # filled in as the round's messages arrive; partner_resid is the
         # payload the partner sealed its residual into
@@ -266,16 +266,16 @@ class _RoundHalf:
         grad_logp = grad_log_density_batch(s.kde, xhat, out=logp_xhat)
         logp_x = s.own_log_density(self.batch_ids)
         own_resid = np.clip(logp_xhat - logp_x, -RESIDUAL_CLIP, RESIDUAL_CLIP)
-        plain_part = align_grad + s.lam * self.factor * grad_logp * \
+        # d(lam * mean(r^2)) / d xhat_i = 2 lam r_i grad logP(xhat_i) / n
+        plain_part = align_grad + 2.0 * s.lam * grad_logp * \
             own_resid[:, None] / xhat.shape[0]
-        cross_mult = s.lam * self.factor * grad_logp / xhat.shape[0]
+        cross_mult = 2.0 * s.lam * grad_logp / xhat.shape[0]
         return plain_part, own_resid, cross_mult
 
 
 def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
                    batch_ids, hub: Hub, rng,
                    use_encryption: bool = True,
-                   exact_duality_grad: bool = False,
                    round_tag: int | None = None,
                    pmap: Callable = paillier.serial_map) -> DualRoundResult:
     """One minibatch of joint dual training over the co-occurring ids.
@@ -286,7 +286,9 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     three plus the encrypted cross product for B, (8) B->A the
     encrypted cross product for A.  Both parties then decrypt their
     cross term, assemble the full output gradient, backpropagate
-    locally and take one SGD step.
+    locally and take one SGD step.  Each generator's output gradient
+    is the exact gradient of mse(xhat, x) + lam * mean(r^2) in its
+    output, the partner's half of the residual r held fixed.
 
     With ``use_encryption`` off (test shadow mode) the same values move
     as plaintext float payloads; parameter updates then differ from the
@@ -300,9 +302,8 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     batch_ids = tuple(batch_ids)
     if not batch_ids:
         raise ValueError("empty minibatch")
-    factor = 2.0 if exact_duality_grad else 1.0
     codec = _PaillierCodec(rng, pmap) if use_encryption else _ShadowCodec()
-    halves = {st.name: _RoundHalf(st, batch_ids, factor)
+    halves = {st.name: _RoundHalf(st, batch_ids)
               for st in (state_a, state_b)}
 
     # (1-2) A -> B: xhat_B = f(x_A), then B -> A: xhat_A = g(x_B); each
@@ -328,7 +329,8 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
 
     # (7-8) A -> B, then B -> A: the cross product for the receiver's
     # generator under the receiver's key: for each sample, the sender's
-    # lam * grad logP(xhat) times [[logP(x) - logP(xhat)]] of the receiver
+    # 2 lam grad logP(xhat) / n times [[logP(x) - logP(xhat)]] of the
+    # receiver
     for src, dst in (("A", "B"), ("B", "A")):
         sender = halves[src]
         msg = hub.exchange(src, dst, codec.kind,

@@ -58,7 +58,7 @@ class MpdlConfig:
     gamma: float
     epsilon: float = 0.5
     sensitivity_mode: str = "per_neuron"
-    lam: float = 0.01
+    lam: float = 0.005
     lr: float = 0.1
     folds: int = 5
     threshold: float = 0.15
@@ -68,7 +68,6 @@ class MpdlConfig:
     batch_size: int = 32
     key_bits: int = 512
     use_encryption: bool = True
-    exact_duality_grad: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -236,17 +235,17 @@ def split_predict(hub: Hub, model: SplitCentralModel, x_a,
 def train_dual_generators(state_a: DualPartyState, state_b: DualPartyState,
                           ids, hub: Hub, epochs: int, batch_size: int,
                           order_rng: np.random.Generator, protocol_rng,
-                          first_tag: int = 0, use_encryption: bool = True,
-                          exact_duality_grad: bool = False) -> int:
+                          first_tag: int = 0, use_encryption: bool = True
+                          ) -> int:
     """Train both generators for ``epochs`` passes over the aligned ids.
 
     Each epoch draws one permutation of ``ids`` from ``order_rng`` and
     runs one ``run_dual_round`` per consecutive ``batch_size`` slice of
-    it, with ``protocol_rng`` and the round's encryption and gradient
-    settings.  Rounds are tagged ``first_tag``, ``first_tag + 1``, ...;
-    the next free tag is returned.  With encryption on, the rounds'
-    cipher exponentiations share ``paillier.parallel_map``'s worker
-    processes, which are gone again when this returns or raises.
+    it, with ``protocol_rng`` and ``use_encryption``.  Rounds are tagged
+    ``first_tag``, ``first_tag + 1``, ...; the next free tag is returned.
+    With encryption on, the rounds' cipher exponentiations share
+    ``paillier.parallel_map``'s worker processes, which are gone again
+    when this returns or raises.
     """
     tag = first_tag
     pool = parallel_map() if use_encryption else nullcontext(serial_map)
@@ -257,7 +256,6 @@ def train_dual_generators(state_a: DualPartyState, state_b: DualPartyState,
                 batch = [ids[k] for k in order[start:start + batch_size]]
                 run_dual_round(state_a, state_b, batch, hub, protocol_rng,
                                use_encryption=use_encryption,
-                               exact_duality_grad=exact_duality_grad,
                                round_tag=tag, pmap=pmap)
                 tag += 1
     return tag
@@ -301,8 +299,7 @@ class PartySetup:
         return train_dual_generators(
             self.state_a, self.state_b, self.common, hub, config.dual_epochs,
             config.batch_size, self.order_rng, self.protocol_rng, first_tag,
-            use_encryption=config.use_encryption,
-            exact_duality_grad=config.exact_duality_grad)
+            use_encryption=config.use_encryption)
 
 
 def setup_parties(data: PreparedExperiment, config: MpdlConfig,

@@ -171,10 +171,10 @@ def encrypted_dual_round_matches_plaintext():
         r = np.random.default_rng(99)
         return (DualPartyState("A", PartyDataset(ids, xa), fit_kde(xa),
                                init_mlp([3, 3, 2], ["relu", "identity"], r),
-                               keys_a, keys_b.public, 0.01, 0.1),
+                               keys_a, keys_b.public, 0.005, 0.1),
                 DualPartyState("B", PartyDataset(ids, xb), fit_kde(xb),
                                init_mlp([2, 3, 3], ["relu", "identity"], r),
-                               keys_b, keys_a.public, 0.01, 0.1))
+                               keys_b, keys_a.public, 0.005, 0.1))
 
     batch = list(ids[:8])
     models = {}

@@ -9,9 +9,12 @@ in a transcript (a send that raises leaves no trace); messages are
 decoded on access.  ``Hub.exchange`` is one delivery: a send, then the
 receiver taking that message before anything else is sent; every other
 module delivers each of its messages this way and never calls
-``Hub.send`` or ``Hub.recv`` itself.  ``Hub.exchange_matrix`` delivers
-one matrix: every matrix delivery is checked on receipt by kind, sender
-and shape, and a mis-shaped one raises ``ProtocolError`` there.
+``Hub.send`` or ``Hub.recv`` itself.  A receiver takes ids in rising
+order on each channel, so a repeated or reordered frame raises
+``ProtocolError``.  ``Hub.exchange_matrix`` delivers one matrix: every
+matrix delivery is checked on receipt by kind, sender, shape and
+finiteness, and a mis-shaped or non-finite one raises ``ProtocolError``
+there.
 Transcripts are the audit surface: boundary checks are declarative
 predicates evaluated over them after a protocol run.
 
@@ -150,9 +153,13 @@ def expect_shape(kind: MessageKind, sender: str, got: tuple,
 
 def receive_matrix(kind: MessageKind, sender: str, payload: bytes,
                    expect: tuple, unpack=unpack_matrix) -> np.ndarray:
-    """The matrix of shape ``expect`` that ``sender`` packed."""
+    """The matrix of shape ``expect``, every entry finite, that ``sender``
+    packed."""
     mat = unpack(payload)
     expect_shape(kind, sender, mat.shape, expect)
+    if not np.isfinite(mat).all():
+        raise ProtocolError(f"{MessageKind(kind).name} from {sender} holds "
+                            f"a non-finite entry")
     return mat
 
 
@@ -379,6 +386,8 @@ class Hub:
         self._next_id = 0
         self._channels = {(s, r): channel(timeout)
                           for s in ACTORS for r in ACTORS if s != r}
+        # the id of the last frame each channel's receiver took
+        self._last_taken = dict.fromkeys(self._channels, -1)
 
     def send(self, sender: str, receiver: str, kind: MessageKind,
              payload: bytes, batch_tag: int | None = None) -> ProtocolMessage:
@@ -400,12 +409,19 @@ class Hub:
 
     def recv(self, receiver: str, sender: str,
              kind: MessageKind | None = None) -> ProtocolMessage:
-        if (sender, receiver) not in self._channels:
+        channel = (sender, receiver)
+        if channel not in self._channels:
             raise ProtocolError(f"no channel {sender!r}->{receiver!r}")
-        frame = self._channels[(sender, receiver)].recv()
+        frame = self._channels[channel].recv()
         msg = decode_message(frame)
         if msg.sender != sender or msg.receiver != receiver:
             raise ProtocolError("frame delivered on the wrong channel")
+        last = self._last_taken[channel]
+        if msg.msg_id <= last:
+            raise ProtocolError(f"msg {msg.msg_id} ({msg.kind.name}) from "
+                                f"{sender} does not follow msg {last} on "
+                                f"its channel")
+        self._last_taken[channel] = msg.msg_id
         if kind is not None and msg.kind != kind:
             raise ProtocolError(f"expected {MessageKind(kind).name}, got "
                                 f"{msg.kind.name} (msg {msg.msg_id})")

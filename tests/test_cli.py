@@ -105,8 +105,8 @@ def test_config_file_rejects_a_misspelt_boolean(tmp_path):
         read_config_file(str(cfg))
     for word, want in (("YES", True), ("On", True), ("0", False),
                        ("off", False), ("False", False)):
-        cfg.write_text(f"exact_duality_grad = {word}\n")
-        assert read_config_file(str(cfg)) == {"exact_duality_grad": want}
+        cfg.write_text(f"no_encryption = {word}\n")
+        assert read_config_file(str(cfg)) == {"no_encryption": want}
 
 
 def test_defaults_take_every_mpdl_config_default():
@@ -312,8 +312,8 @@ def test_graph_synthetic_csv(tmp_path):
 # same rows after the shared party set-up, and no golden digest covers it
 GRAPH_MULTI_EPOCH_CSV = (
     '# config: {"batch_size": 32, "dual_epochs": 3, "epsilon": 0.5, '
-    '"exact_duality_grad": false, "gammas": "0.4", "holdout_fraction": 0.2, '
-    '"id_column": null, "key_bits": 512, "lam": 0.01, "lr": 0.1, '
+    '"gammas": "0.4", "holdout_fraction": 0.2, "id_column": null, '
+    '"key_bits": 512, "lam": 0.005, "lr": 0.1, '
     '"no_encryption": true, "repeats": 1, "seed": 0, '
     '"sensitivity_mode": "per_neuron", "synthetic_nodes": 50}\n'
     "# inputs: synthetic\n"
@@ -360,25 +360,6 @@ def test_graph_edge_list_inputs(tmp_path):
     header = out.read_text().splitlines()[1]
     assert header == (f"# inputs: {content_hash(str(edges))},"
                       f"{content_hash(str(feats))}")
-
-
-def test_graph_passes_exact_duality_grad_to_every_round(tmp_path,
-                                                       monkeypatch):
-    import mpdl.orchestrator
-    seen = []
-    original = mpdl.orchestrator.run_dual_round
-
-    def recording(*args, **kwargs):
-        seen.append(kwargs)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr("mpdl.orchestrator.run_dual_round", recording)
-    assert main(["graph", "--out", str(tmp_path / "g.csv"),
-                 "--synthetic-nodes", "50", "--gammas", "0.4", "--repeats",
-                 "1", "--dual-epochs", "2", "--no-encryption",
-                 "--exact-duality-grad"]) == 0
-    assert seen
-    assert all(kw.get("exact_duality_grad") is True for kw in seen)
 
 
 def _graph_inputs(tmp_path, edge_text):
@@ -548,6 +529,34 @@ def test_unknown_config_key_exits_2(dataset_csv, tmp_path, capsys):
     code = main(["mpdl", "--dataset", dataset_csv, "--id-column", "id",
                  "--out", str(tmp_path / "out.csv"), "--config", str(cfg)])
     assert code == 2
+
+
+# the duality weight has one meaning: the setting that only doubled it is
+# gone, and naming it is refused rather than ignored
+REMOVED_KEY = "exact_duality_grad"
+GRAPH_ARGS = ["graph", "--synthetic-nodes", "50", "--gammas", "0.4",
+              "--repeats", "1", "--dual-epochs", "1", "--no-encryption"]
+
+
+def test_config_file_naming_the_removed_doubling_key_exits_2(tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{REMOVED_KEY} = true\n")
+    out = tmp_path / "g.csv"
+    assert main(GRAPH_ARGS + ["--out", str(out), "--config", str(cfg)]) == 2
+    assert f"old.cfg:1: unknown key {REMOVED_KEY!r}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_removed_doubling_flag_exits_2(tmp_path, capsys):
+    flag = "--" + REMOVED_KEY.replace("_", "-")
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(GRAPH_ARGS + ["--out", str(out), flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_key_bits_exits_2(dataset_csv, tmp_path):

@@ -27,7 +27,7 @@ def keypairs():
     return keygen(512, rng), keygen(512, rng)
 
 
-def make_states(keypairs, n=12, d_a=3, d_b=2, lam=0.01, lr=0.1,
+def make_states(keypairs, n=12, d_a=3, d_b=2, lam=0.005, lr=0.1,
                 init_seed=99, data_seed=17):
     keys_a, keys_b = keypairs
     rng = np.random.default_rng(data_seed)
@@ -66,47 +66,8 @@ def test_dual_loss_shape_mismatch():
         dual_loss([0.0, 1.0], [0.0], [0.0], [0.0])
 
 
-def _round_output_grads(keypairs, monkeypatch, **round_kwargs):
-    """Each generator's output-layer gradient in one shadow round, with
-    the alignment gradient it contains."""
-    state_a, state_b = make_states(keypairs, lam=0.3)
-    batch = list(range(6))
-    owner = {id(state_a.model): "A", id(state_b.model): "B"}
-    align = {}
-    for st, partner in ((state_a, state_b), (state_b, state_a)):
-        xhat = dual_infer(st.model, st.store.rows(batch))
-        align[st.name] = loss_eval("mse", xhat,
-                                   partner.store.rows(batch))[1]
-    seen = {}
-
-    def capture(model, cache, out_grad):
-        seen[owner[id(model)]] = out_grad
-        return backprop_from_output_grad(model, cache, out_grad)
-
-    monkeypatch.setattr(mpdl.dual, "backprop_from_output_grad", capture)
-    hub = Hub()
-    run_dual_round(state_a, state_b, batch, hub, random.Random(5),
-                   use_encryption=False, **round_kwargs)
-    hub.close()
-    assert seen.keys() == align.keys()
-    return [(seen[k], align[k]) for k in "AB"]
-
-
-def test_exact_duality_grad_doubles_the_rounds_duality_term(keypairs,
-                                                             monkeypatch):
-    half = _round_output_grads(keypairs, monkeypatch)
-    full = _round_output_grads(keypairs, monkeypatch,
-                               exact_duality_grad=True)
-    for (g_half, align), (g_full, align_again) in zip(half, full):
-        assert np.array_equal(align, align_again)
-        duality = g_half - align
-        assert np.abs(duality).max() > 1e-6
-        assert np.allclose(g_full - align, 2.0 * duality, rtol=0.0,
-                           atol=1e-12)
-
-
 def test_dual_output_grad_matches_finite_differences(keypairs, monkeypatch):
-    """Exact-mode output gradient of each generator equals the derivative of
+    """The output gradient of each generator equals the derivative of
 
         L(xhat) = mse(xhat, x) + lam * mean(r(xhat)^2)
 
@@ -153,7 +114,7 @@ def test_dual_output_grad_matches_finite_differences(keypairs, monkeypatch):
         models = (state_a.model, state_b.model)
         hub = Hub()
         run_dual_round(state_a, state_b, batch, hub, random.Random(trial),
-                       use_encryption=False, exact_duality_grad=True)
+                       use_encryption=False)
         hub.close()
         for model, xhat, composite in ((models[0], xhat_b, composite_b),
                                        (models[1], xhat_a, composite_a)):
@@ -535,10 +496,10 @@ def test_rounds_fit_a_linear_map(keypairs):
     r = np.random.default_rng(33)
     state_a = DualPartyState("A", PartyDataset(ids, xa), fit_kde(xa),
                              init_mlp([2, 2], ["identity"], r),
-                             keys_a, keys_b.public, lam=1e-4, lr=0.2)
+                             keys_a, keys_b.public, lam=5e-5, lr=0.2)
     state_b = DualPartyState("B", PartyDataset(ids, xb), fit_kde(xb),
                              init_mlp([2, 2], ["identity"], r),
-                             keys_b, keys_a.public, lam=1e-4, lr=0.2)
+                             keys_b, keys_a.public, lam=5e-5, lr=0.2)
     hub = Hub()
 
     def mse_f():
@@ -556,7 +517,7 @@ def test_rounds_fit_a_linear_map(keypairs):
 
 
 def test_duality_loss_drops_over_rounds(keypairs):
-    state_a, state_b = make_states(keypairs, n=30, lam=0.05, lr=0.05,
+    state_a, state_b = make_states(keypairs, n=30, lam=0.025, lr=0.05,
                                    data_seed=2)
     ids = state_a.store.ids
     hub = Hub()

@@ -12,18 +12,20 @@ import numpy as np
 import pytest
 
 import mpdl.orchestrator
+from mpdl.central import init_split_central
 from mpdl.data import PartyDataset
 from mpdl.density import fit_kde
 from mpdl.dual import DualPartyState, run_dual_round
 from mpdl.nn import init_mlp
 from mpdl.orchestrator import (MpdlConfig, inference_mae, mpdl_train,
                                predict_unlabeled, prepare_experiment,
-                               split_predict, train_dual_generators)
+                               split_predict, split_train,
+                               train_dual_generators)
 from mpdl.paillier import keygen
 from mpdl.synthetic import linear_task
 from mpdl.transport import Hub, MessageKind, ProtocolError, \
-    encode_message, pack_json, pack_matrix, pack_tokens, unpack_json, \
-    unpack_matrix, unpack_tokens
+    decode_message, encode_message, pack_json, pack_matrix, pack_tokens, \
+    unpack_json, unpack_matrix, unpack_tokens
 
 
 FAST = dict(epsilon=math.inf, dual_epochs=2, central_epochs=5,
@@ -236,7 +238,7 @@ def test_train_dual_generators_tags_each_round(keypairs):
 
 
 def test_train_dual_generators_matches_an_inline_loop(keypairs):
-    settings = dict(use_encryption=False, exact_duality_grad=True)
+    settings = dict(use_encryption=False)
     state_a, state_b, ids = _dual_states(keypairs)
     hub = Hub()
     try:
@@ -421,6 +423,81 @@ def test_run_rejects_a_supplement_without_an_id_list(ids):
     with pytest.raises(ProtocolError, match="^Control from B holds no list "
                                             "of supplement ids$"):
         _golden_run(hub, use_encryption=False)
+
+
+# the first of each matrix kind, poisoned in transit: unchecked, each
+# raised nn.as_batch's ValueError deep in the receiver, which the CLI
+# reports as an invalid configuration (exit 2), not a peer's fault (3)
+@pytest.mark.parametrize("kind, sender, bad", [
+    (MessageKind.InferredBatch, "A", np.nan),
+    (MessageKind.GradTerm, "B", np.inf),
+    (MessageKind.PartialSum, "A", -np.inf),
+    (MessageKind.DeltaError, "C", np.nan),
+], ids=["inferred", "grad-term", "partial-sum", "delta"])
+def test_run_rejects_a_non_finite_matrix(kind, sender, bad):
+    hub = Hub()
+    exchange, poisoned = hub.exchange, []
+
+    def tampered(src, dst, k, payload, batch_tag=None):
+        if k == kind and not poisoned:
+            mat = unpack_matrix(payload)
+            mat[0, 0] = bad
+            payload = pack_matrix(mat)
+            poisoned.append(src)
+        return exchange(src, dst, k, payload, batch_tag)
+
+    hub.exchange = tampered
+    with pytest.raises(ProtocolError, match=f"^{kind.name} from {sender} "
+                                            f"holds a non-finite entry$"):
+        _golden_run(hub, use_encryption=False)
+    assert poisoned == [sender]
+
+
+def _send_first_twice(hub, channel, kind):
+    """The first frame of ``kind`` on ``channel`` is put on it twice."""
+    ch = hub._channels[channel]
+    send, done = ch.send, []
+
+    def twice(frame):
+        send(frame)
+        if not done and decode_message(frame).kind == kind:
+            done.append(frame)
+            send(frame)
+
+    ch.send = twice
+
+
+def test_split_train_refuses_a_repeated_delta():
+    # at batch size 2 every step's delta has the same shape, so unchecked
+    # the repeat was taken as the next step's delta
+    rng = np.random.default_rng(8)
+    x_a, x_b = rng.uniform(size=(6, 3)), rng.uniform(size=(6, 2))
+    model = init_split_central(3, 2, 2, rng)
+    hub = Hub()
+    _send_first_twice(hub, ("C", "A"), MessageKind.DeltaError)
+    try:
+        with pytest.raises(ProtocolError, match=r"^msg 2 \(DeltaError\) from "
+                                                r"C does not follow msg 2 "):
+            split_train(hub, model, x_a, x_b, np.array([0, 1, 0, 1, 1, 0]),
+                        0.1, 1, 2, np.random.default_rng(0))
+    finally:
+        hub.close()
+
+
+def test_predict_unlabeled_refuses_a_repeated_label_list(world):
+    # unchecked, a second routing took the first one's labels
+    result = run(world, close=False, max_iters=1, threshold=2.0)
+    hub = result.hub
+    ids = list(world.split.a_only[:6])
+    x_a = result.state_a.store.rows(ids)
+    _send_first_twice(hub, ("C", "A"), MessageKind.Control)
+    try:
+        predict_unlabeled(result, x_a, ids)
+        with pytest.raises(ProtocolError, match=r"\(Control\) from C does "
+                                                r"not follow msg "):
+            predict_unlabeled(result, x_a, ids)
+    finally:
+        hub.close()
 
 
 # B's labels for C are a dict of ints, C's for A a list of ints; a

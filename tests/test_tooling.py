@@ -241,3 +241,22 @@ def test_every_public_name_has_a_production_caller():
     unused = [label for label, name in _public_definitions()
               if name not in used]
     assert sorted(unused) == sorted(TEST_ONLY_ON_PURPOSE)
+
+
+def _backticked(text: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_readme_settings_lists_match_the_cli():
+    # README spells out graph's settings and the shared training settings
+    # by name; each list must be the CLI's own, so a setting that goes
+    # (or arrives) cannot be left behind (or out) there
+    from mpdl import cli
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `graph` +\|(.*)\|$", readme, re.M)
+    assert len(rows) == 1
+    assert _backticked(rows[0]) == list(cli.SETTINGS["graph"])
+    sentences = re.findall(r"The training settings are (.*?)\.\n", readme,
+                           re.S)
+    assert len(sentences) == 1
+    assert _backticked(sentences[0]) == list(cli._TRAINING)

@@ -1,6 +1,7 @@
 """Message framing, channel semantics, transcripts and boundary predicates."""
 
 import gc
+import re
 import struct
 import threading
 import tracemalloc
@@ -15,7 +16,7 @@ from mpdl.transport import (ACTORS, Hub, MessageKind, ProtocolError,
                             decode_message, encode_message,
                             forbid_plaintext_rows, forbid_plaintext_values,
                             pack_ciphers, pack_json, pack_matrix, pack_tokens,
-                            transcript_assert,
+                            receive_matrix, transcript_assert,
                             unpack_ciphers, unpack_json, unpack_matrix,
                             unpack_tokens)
 
@@ -284,6 +285,52 @@ def test_hub_failed_send_uses_no_msg_id(monkeypatch):
         assert sent.msg_id == 0
         assert [m.payload for m in hub.transcript.messages()] == [b"kept"]
         assert hub.recv("B", "A") == sent
+    finally:
+        hub.close()
+
+
+# a repeated or reordered frame carries an id at or below the last one
+# its channel's receiver took; unchecked, one of the same kind and shape
+# was taken as the next message
+@pytest.mark.parametrize("order, message", [
+    ((0, 0, 1), "msg 0 (Control) from A does not follow msg 0"),
+    ((1, 0), "msg 0 (Control) from A does not follow msg 1"),
+], ids=["repeated", "reordered"])
+def test_hub_refuses_a_frame_that_does_not_follow_the_last_taken(order,
+                                                                 message):
+    hub = Hub()
+    channel = hub._channels[("A", "B")]
+    original, held = channel.send, []
+    channel.send = held.append
+    try:
+        for k in range(2):
+            hub.send("A", "B", MessageKind.Control, bytes([k]))
+        for k in order:
+            original(held[k])
+        assert hub.recv("B", "A").msg_id == order[0]
+        with pytest.raises(ProtocolError,
+                           match=rf"^{re.escape(message)} on its channel$"):
+            hub.recv("B", "A")
+    finally:
+        hub.close()
+
+
+# a NaN or an infinity in a peer's matrix is that peer's fault, named on
+# receipt; unchecked it surfaced as nn.as_batch's ValueError
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "+inf", "-inf"])
+def test_a_non_finite_matrix_entry_is_a_protocol_fault(bad):
+    mat = np.ones((3, 2))
+    mat[1, 0] = bad
+    with pytest.raises(ProtocolError, match="^GradTerm from B holds a "
+                                            "non-finite entry$"):
+        receive_matrix(MessageKind.GradTerm, "B", pack_matrix(mat), (3, 2))
+    hub = Hub()
+    try:
+        with pytest.raises(ProtocolError, match="^DeltaError from C holds a "
+                                                "non-finite entry$"):
+            hub.exchange_matrix("C", "A", MessageKind.DeltaError, mat,
+                                (3, 2))
     finally:
         hub.close()
 
