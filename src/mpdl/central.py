@@ -11,6 +11,11 @@ equivalence as a testable identity.  This module holds the per-site
 arithmetic only: C's step takes the two partial sums and the labels
 and returns the one delta.  ``orchestrator.split_train`` and
 ``split_predict`` route it through a hub.
+
+Nothing here checks an array again (the ``nn`` conventions name who
+does): a party's rows were checked on entry, the partial sums and the
+delta on receipt against the batch's rows and the hidden width, and the
+party layers' identity activation by ``SplitCentralModel``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nn import DenseLayer, LayerGrad, Mlp, activation_prime, \
-    apply_activation, as_batch, backprop_from_output_grad, dual_hidden_width, \
+    apply_activation, backprop_from_output_grad, dual_hidden_width, \
     glorot_uniform, init_mlp, loss_eval, mlp_forward
 
 # C applies this to the recombined partial sums before its own layers.
@@ -85,10 +90,7 @@ def init_split_central(d_a: int, d_b: int, n_classes: int,
 
 def party_forward(local: DenseLayer, x) -> np.ndarray:
     """A party's contribution to the first hidden layer: x @ W.T + b."""
-    if local.activation != "identity":
-        raise ValueError("party layers must use identity activation")
-    xb = as_batch(x, local.in_width)
-    return xb @ local.weights.T + local.bias
+    return x @ local.weights.T + local.bias
 
 
 class CentralStep(NamedTuple):
@@ -105,11 +107,6 @@ def central_forward_backward(model: SplitCentralModel, z_a, z_b,
     delta is the loss gradient at the shared hidden pre-activation; both
     parties receive it.
     """
-    z_a, z_b = as_batch(z_a), as_batch(z_b)
-    if z_a.shape != z_b.shape:
-        raise ValueError("partial sums must share a shape")
-    if np.asarray(labels).shape != (z_a.shape[0],):
-        raise ValueError("labels must be one per row")
     z = z_a + z_b
     hidden = apply_activation(SPLIT_ACTIVATION, z)
     probs, cache = mlp_forward(model.central, hidden)
@@ -123,15 +120,11 @@ def central_forward_backward(model: SplitCentralModel, z_a, z_b,
 
 def party_backward(local: DenseLayer, delta, x, lr: float) -> DenseLayer:
     """One SGD step on a party layer from C's delta and the party's inputs."""
-    d = as_batch(delta, local.out_width)
-    xb = as_batch(x, local.in_width)
-    if d.shape[0] != xb.shape[0]:
-        raise ValueError("delta batch does not match the forward batch")
     # The hidden bias is replicated additively across the two parties, so
     # each applies half the gradient; the sum then tracks a single fused
     # affine layer exactly.
-    return DenseLayer(local.weights - lr * (d.T @ xb),
-                      local.bias - lr * 0.5 * d.sum(axis=0), "identity")
+    return DenseLayer(local.weights - lr * (delta.T @ x),
+                      local.bias - lr * 0.5 * delta.sum(axis=0), "identity")
 
 
 def to_monolithic(model: SplitCentralModel) -> Mlp:

@@ -30,8 +30,8 @@ import numpy as np
 from . import paillier
 from .data import PartyDataset
 from .density import KdeModel, grad_log_density_batch, log_density_batch
-from .nn import Mlp, backprop_from_output_grad, clip_global_norm, \
-    loss_eval, mlp_forward, sgd_step
+from .nn import Mlp, as_batch, backprop_from_output_grad, \
+    clip_global_norm, loss_eval, mlp_forward, sgd_step
 from .paillier import CipherVector, KeyPair, PublicKey, SecretKey
 from .transport import Hub, MessageKind, ProtocolError, expect_shape, \
     pack_ciphers, pack_matrix, receive_matrix, unpack_ciphers, unpack_matrix
@@ -129,8 +129,8 @@ class DualRoundResult(NamedTuple):
 
 
 def dual_infer(model: Mlp, x) -> np.ndarray:
-    """Run a generator on a batch of own-space features."""
-    return mlp_forward(model, x)[0]
+    """Run a generator on a batch of own-space features, checked here."""
+    return mlp_forward(model, as_batch(x, model.in_width))[0]
 
 
 def dual_loss(logp_xa, logp_xhat_a, logp_xhat_b, logp_xb) -> float:

@@ -232,7 +232,8 @@ def link_prediction_repeats(ds: PartyDataset, adj, config: MpdlConfig,
 
     A run splits the nodes with no test block and trains the generators
     after ``setup_parties``, as ``mpdl_train`` does, on a fresh hub; it
-    then scores link prediction on the two perturbed stores.
+    then scores link prediction on the two perturbed stores, and leaves
+    no frame unread on the hub.
     """
     aucs = []
     for r in range(repeats):
@@ -249,6 +250,7 @@ def link_prediction_repeats(ds: PartyDataset, adj, config: MpdlConfig,
             aucs.append(link_prediction_auc(
                 pair, adj, feat_a, feat_b, has_a, has_b, holdout_fraction,
                 np.random.default_rng(setup.fold_seed), hub))
+            hub.check_drained()
         finally:
             hub.close()
     return aucs

@@ -10,7 +10,17 @@ Conventions, fixed once here and relied on everywhere else:
 * ``softmax`` may appear only on the output layer, and the output
   gradient fed to :func:`backprop_from_output_grad` for such a layer is
   taken with respect to the pre-softmax logits (the usual fused
-  softmax + cross-entropy convention).
+  softmax + cross-entropy convention);
+* every array is checked once, by one of three owners: an entry point
+  that takes data from outside (``PartyDataset``, ``fit_kde`` and
+  ``KdeModel``, ``perturb_dataset``, the ``graph`` functions,
+  ``orchestrator.split_train`` once before its loop, ``dual.dual_infer``)
+  calls :func:`as_batch`; ``transport.receive_matrix`` checks every
+  received matrix's kind, sender, shape and finiteness; and the
+  ``DenseLayer``, ``Mlp`` and ``central.SplitCentralModel`` constructors
+  check parameters, so a step that diverges still raises.  The functions
+  here and in ``central`` compute on such arrays without checking them
+  again.
 """
 
 from __future__ import annotations
@@ -169,8 +179,9 @@ def dual_hidden_width(n_in: int, n_out: int) -> int:
 
 
 def mlp_forward(model: Mlp, batch) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; returns (output batch, cache for backprop)."""
-    x = as_batch(batch, model.in_width)
+    """Run the network on a checked batch of width ``model.in_width``;
+    returns (output batch, cache for backprop)."""
+    x = np.asarray(batch, dtype=np.float64)
     zs, outs = [], []
     a = x
     for layer in model.layers:
@@ -186,14 +197,11 @@ def backprop_from_output_grad(model: Mlp, cache: ForwardCache,
     """Backpropagate an output gradient through the cached forward pass.
 
     ``out_grad`` is dL/d(output) for the last layer, except when that
-    layer is softmax, in which case it is dL/d(logits).  Returns the
-    per-layer parameter gradients (batch-summed) and the gradient with
-    respect to the network input.
+    layer is softmax, in which case it is dL/d(logits); it has the
+    output's shape.  Returns the per-layer parameter gradients
+    (batch-summed) and the gradient with respect to the network input.
     """
-    g = as_batch(out_grad, model.out_width)
     last = len(model.layers) - 1
-    if g.shape[0] != cache.x.shape[0]:
-        raise ValueError("output gradient batch size does not match cache")
     grads: list[LayerGrad | None] = [None] * len(model.layers)
     delta = None
     for idx in range(last, -1, -1):
@@ -201,9 +209,9 @@ def backprop_from_output_grad(model: Mlp, cache: ForwardCache,
         z = cache.weighted_inputs[idx]
         if idx == last:
             if layer.activation == "softmax":
-                delta = g
+                delta = out_grad
             else:
-                delta = g * activation_prime(layer.activation, z)
+                delta = out_grad * activation_prime(layer.activation, z)
         else:
             upstream = model.layers[idx + 1]
             delta = (delta @ upstream.weights) * activation_prime(
@@ -236,19 +244,14 @@ def clip_global_norm(grads: Sequence[LayerGrad],
 
 
 def sgd_step(model: Mlp, grads: Sequence[LayerGrad], lr: float) -> Mlp:
-    """Return a new model after one step of w <- w - lr * grad."""
+    """Return a new model after one step of w <- w - lr * grad; a step
+    to a non-finite parameter raises in ``DenseLayer``."""
     if len(grads) != len(model.layers):
         raise ValueError("gradient count does not match layer count")
     new_layers = []
     for layer, grad in zip(model.layers, grads):
-        gw = np.asarray(grad.weights, dtype=np.float64)
-        gb = np.asarray(grad.bias, dtype=np.float64)
-        if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
-            raise ValueError("gradient shape does not match layer")
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise ValueError("non-finite gradient entries")
-        new_layers.append(DenseLayer(layer.weights - lr * gw,
-                                     layer.bias - lr * gb,
+        new_layers.append(DenseLayer(layer.weights - lr * grad.weights,
+                                     layer.bias - lr * grad.bias,
                                      layer.activation))
     return Mlp(tuple(new_layers))
 
@@ -259,24 +262,17 @@ def loss_eval(kind: str, prediction, target) -> tuple[float, np.ndarray]:
     ``mse`` sums squared error over features and averages over the
     batch; its gradient is taken w.r.t. the predictions.  For
     ``cross_entropy`` the predictions must be softmax outputs and the
-    targets one-hot rows; the returned gradient is w.r.t. the logits,
-    i.e. (p - y) / batch.
+    targets one-hot rows (``central.one_hot`` builds them); the returned
+    gradient is w.r.t. the logits, i.e. (p - y) / batch.  Both arrays
+    share one shape.
     """
-    p = as_batch(prediction)
-    t = as_batch(target)
-    if p.shape != t.shape:
-        raise ValueError(f"prediction shape {p.shape} != target shape {t.shape}")
-    n = p.shape[0]
+    n = prediction.shape[0]
     if kind == "mse":
-        diff = p - t
+        diff = prediction - target
         value = float((diff * diff).sum() / n)
         return value, 2.0 * diff / n
     if kind == "cross_entropy":
-        # entries are exactly 0 or 1, so the row sums are exact integers
-        if not ((t == 0.0) | (t == 1.0)).all() or not (
-                t.sum(axis=1) == 1.0).all():
-            raise ValueError("cross_entropy targets must be one-hot rows")
-        picked = np.clip((p * t).sum(axis=1), 1e-300, None)
+        picked = np.clip((prediction * target).sum(axis=1), 1e-300, None)
         value = float(-np.log(picked).mean())
-        return value, (p - t) / n
+        return value, (prediction - target) / n
     raise ValueError(f"unknown loss kind {kind!r}")

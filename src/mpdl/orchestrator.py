@@ -266,7 +266,9 @@ def mpdl_train(data: PreparedExperiment, config: MpdlConfig,
     """Run the full multi-party lifecycle and return models plus report.
 
     Without a ``hub`` the run opens its own, which the result carries
-    open (``result.hub``) and which is closed if the run raises.
+    open (``result.hub``) and which is closed if the run raises.  The
+    run returns only with every channel of the hub empty
+    (``Hub.check_drained``).
     """
     if not data.split.test:
         raise ValueError("the test block is empty: mpdl_train scores both "
@@ -441,6 +443,7 @@ def _run_lifecycle(data: PreparedExperiment, config: MpdlConfig,
         truth = np.array([data.withheld_labels[i] for i in a_only])
         result.report.accuracy_unlabeled = float((preds == truth).mean())
     result.report.inference_mae = inference_mae_report(data, result)
+    hub.check_drained()
     return result
 
 

@@ -14,7 +14,8 @@ order on each channel, so a repeated or reordered frame raises
 ``ProtocolError``.  ``Hub.exchange_matrix`` delivers one matrix: every
 matrix delivery is checked on receipt by kind, sender, shape and
 finiteness, and a mis-shaped or non-finite one raises ``ProtocolError``
-there.
+there.  ``Hub.check_drained`` refuses a channel that still holds a
+frame, so a run that sent a message no receiver took does not return.
 Transcripts are the audit surface: boundary checks are declarative
 predicates evaluated over them after a protocol run.
 
@@ -28,6 +29,7 @@ built, and bounds every blocking receive (and every TCP send).
 from __future__ import annotations
 
 import json
+import select
 import socket
 import struct
 import threading
@@ -268,6 +270,11 @@ class _LocalChannel:
                 self._cond.wait(remaining)
             return self._frames.popleft()
 
+    def pending(self) -> bool:
+        """Whether a frame waits unread."""
+        with self._cond:
+            return bool(self._frames)
+
     def close(self) -> None:
         with self._cond:
             self._closed = True
@@ -327,6 +334,11 @@ class _TcpChannel:
             chunks.append(chunk)
             count -= len(chunk)
         return b"".join(chunks)
+
+    def pending(self) -> bool:
+        """Whether a byte waits on the read socket; a frame still in the
+        kernel's loopback path is not seen."""
+        return bool(select.select([self._read], [], [], 0)[0])
 
     def close(self) -> None:
         for sock in (self._write, self._read):
@@ -443,6 +455,14 @@ class Hub:
         msg = self.exchange(sender, receiver, kind, codec[0](array),
                             batch_tag)
         return receive_matrix(kind, sender, msg.payload, expect, codec[1])
+
+    def check_drained(self) -> None:
+        """Refuse a channel that still holds a frame: every message a run
+        sends is one its receiver takes."""
+        for (sender, receiver), ch in self._channels.items():
+            if ch.pending():
+                raise ProtocolError(f"channel {sender}->{receiver} holds a "
+                                    f"frame its receiver never took")
 
     def close(self) -> None:
         for ch in self._channels.values():

@@ -63,12 +63,6 @@ def test_party_forward_identity_blocks():
     assert np.array_equal(got, [[3.5, 4.0, 2.0]])
 
 
-def test_party_forward_rejects_activation():
-    layer = DenseLayer(np.ones((2, 2)), np.zeros(2), "relu")
-    with pytest.raises(ValueError):
-        party_forward(layer, np.ones((1, 2)))
-
-
 def test_split_model_validation():
     rng = np.random.default_rng(0)
     ok = make_model()
@@ -115,17 +109,6 @@ def test_delta_shared_by_both_parties(hub):
     assert [(m.sender, m.receiver) for m in sent] == [("C", "A"), ("C", "B")]
     assert sent[0].payload == sent[1].payload
     assert np.array_equal(unpack_matrix(sent[0].payload), step.delta)
-
-
-def test_central_step_rejects_mismatched_inputs():
-    model = make_model()
-    x_a, x_b, labels = make_batch(model)
-    z_a = party_forward(model.local_a, x_a)
-    z_b = party_forward(model.local_b, x_b)
-    with pytest.raises(ValueError, match="partial sums must share a shape"):
-        central_forward_backward(model, z_a, z_b[:-1], labels[:-1])
-    with pytest.raises(ValueError, match="labels must be one per row"):
-        central_forward_backward(model, z_a, z_b, labels[:-1])
 
 
 # -- what C and the parties check on receipt ----------------------------------

@@ -14,11 +14,13 @@ from scipy.stats import rankdata
 from mpdl.dual import DualModelPair
 from mpdl.graph import (_average_ranks, complete_feature_matrix,
                         confusion_protocol, cosine_scores, holdout_edges,
-                        link_auc, link_prediction_auc, make_confusion)
+                        link_auc, link_prediction_auc,
+                        link_prediction_repeats, make_confusion)
 from mpdl.nn import DenseLayer, Mlp, init_mlp, mlp_forward
+from mpdl.orchestrator import MpdlConfig
 from mpdl.synthetic import linked_graph
-from mpdl.transport import Hub, MessageKind, ProtocolError, pack_matrix, \
-    unpack_matrix
+from mpdl.transport import Hub, MessageKind, ProtocolError, _LocalChannel, \
+    decode_message, pack_matrix, unpack_matrix
 
 
 def identity_pair(d_a, d_b):
@@ -339,3 +341,26 @@ def test_link_prediction_beats_chance(hub):
         assert [m.kind for m in hub.transcript] == \
             [MessageKind.MatrixBlock] * (2 * (k + 1))
     assert np.mean(aucs) > 0.6
+
+
+def test_repeats_refuse_to_end_with_a_frame_unread(monkeypatch):
+    # the masked product is the last message on A -> B, so its repeat is
+    # never read: unchecked, the repeat loop returned its AUC
+    send, repeated = _LocalChannel.send, []
+
+    def twice(self, frame):
+        send(self, frame)
+        msg = decode_message(frame)
+        if not repeated and msg.kind == MessageKind.MatrixBlock and \
+                msg.sender == "A":
+            repeated.append(msg.msg_id)
+            send(self, frame)
+
+    monkeypatch.setattr(_LocalChannel, "send", twice)
+    ds, adj = linked_graph(50, 4, 4, seed=2)
+    config = MpdlConfig(gamma=0.4, epsilon=math.inf, dual_epochs=1,
+                        use_encryption=False, seed=2)
+    with pytest.raises(ProtocolError, match=r"^channel A->B holds a frame "
+                                            r"its receiver never took$"):
+        link_prediction_repeats(ds, adj, config, 1, 0.2)
+    assert len(repeated) == 1

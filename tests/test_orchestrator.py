@@ -11,12 +11,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import mpdl.central
+import mpdl.dual
+import mpdl.nn
 import mpdl.orchestrator
 from mpdl.central import init_split_central
 from mpdl.data import PartyDataset
 from mpdl.density import fit_kde
 from mpdl.dual import DualPartyState, run_dual_round
-from mpdl.nn import init_mlp
+from mpdl.nn import as_batch, init_mlp
 from mpdl.orchestrator import (MpdlConfig, inference_mae, mpdl_train,
                                predict_unlabeled, prepare_experiment,
                                split_predict, split_train,
@@ -268,6 +271,53 @@ def test_train_dual_generators_matches_an_inline_loop(keypairs):
             assert np.array_equal(lg.bias, lw.bias)
 
 
+# -- where arrays are checked --------------------------------------------------
+
+def _count_as_batch(monkeypatch):
+    """The calls of ``as_batch`` made where nn, central, orchestrator and
+    dual look it up."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return as_batch(*args, **kwargs)
+
+    for module in (mpdl.nn, mpdl.central, mpdl.orchestrator, mpdl.dual):
+        if hasattr(module, "as_batch"):
+            monkeypatch.setattr(module, "as_batch", counted)
+    return calls
+
+
+def test_split_train_checks_its_rows_once_at_entry(monkeypatch):
+    # the step loop computes on rows checked here, sums and deltas
+    # checked on receipt, and parameters checked by their constructors
+    rng = np.random.default_rng(8)
+    x_a, x_b = rng.uniform(size=(6, 3)), rng.uniform(size=(6, 2))
+    model = init_split_central(3, 2, 2, rng)
+    calls = _count_as_batch(monkeypatch)
+    hub = Hub()
+    try:
+        split_train(hub, model, x_a, x_b, np.array([0, 1, 0, 1, 1, 0]), 0.1,
+                    2, 2, np.random.default_rng(0))
+    finally:
+        hub.close()
+    assert len(calls) == 2
+
+
+def test_dual_round_checks_no_array_again(keypairs, monkeypatch):
+    # a round's rows come from a PartyDataset and its matrices from
+    # receive_matrix, so the generator passes compute without a check
+    state_a, state_b, ids = _dual_states(keypairs)
+    calls = _count_as_batch(monkeypatch)
+    hub = Hub()
+    try:
+        run_dual_round(state_a, state_b, ids[:5], hub, random.Random(4),
+                       use_encryption=False)
+    finally:
+        hub.close()
+    assert calls == []
+
+
 # sha256 over every frame of one seeded run, in send order: a refactor of
 # any protocol step must leave the bytes on the wire unchanged
 GOLDEN_FRAMES = {
@@ -496,6 +546,22 @@ def test_predict_unlabeled_refuses_a_repeated_label_list(world):
         with pytest.raises(ProtocolError, match=r"\(Control\) from C does "
                                                 r"not follow msg "):
             predict_unlabeled(result, x_a, ids)
+    finally:
+        hub.close()
+
+
+@pytest.mark.parametrize("backend", ["local", "tcp"])
+def test_run_refuses_to_return_with_a_frame_unread(world, backend):
+    # the routing's label list is the last message on C -> A, so its
+    # repeat is never read: unchecked, the run returned normally
+    hub = Hub(backend)
+    _send_first_twice(hub, ("C", "A"), MessageKind.Control)
+    try:
+        with pytest.raises(ProtocolError, match=r"^channel C->A holds a "
+                                                r"frame its receiver never "
+                                                r"took$"):
+            mpdl_train(world, MpdlConfig(gamma=0.3,
+                                         **{**FAST, "max_iters": 1}), hub)
     finally:
         hub.close()
 

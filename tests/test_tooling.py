@@ -260,3 +260,13 @@ def test_readme_settings_lists_match_the_cli():
                            re.S)
     assert len(sentences) == 1
     assert _backticked(sentences[0]) == list(cli._TRAINING)
+
+
+def test_readme_module_map_lists_every_module():
+    # one row per module of the package, and no row for a module that
+    # is gone
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `mpdl\.(\w+)` +\|", readme, re.M)
+    modules = [p.stem for p in (ROOT / "src" / "mpdl").glob("*.py")
+               if p.name != "__init__.py"]
+    assert sorted(rows) == sorted(modules)
