@@ -17,13 +17,24 @@ decryption.  One minibatch round is exactly eight directed messages.
 log P(x) depends only on a party's perturbed store and the KDE fitted on
 it, both fixed for a run, so each party evaluates it once per own row
 and reads it back in later rounds (``DualPartyState.own_log_density``).
+
+Once both inferred batches have arrived, the two parties' density
+terms are independent: each party's gradient and log P at the xhat it
+received, and log P of its own rows not seen before.  A round computes
+both before the first gradient term is sent.  Under ``round_map`` with
+large enough kernel matrices (``SHARE_MIN_KERNELS``), A's are computed
+in the calling process and B's, each call whole, in a forked worker
+that found B's KDE and store in the memory it inherited; the own-row
+tables stay in the calling process.  The values, and so the frames, do
+not depend on where they were computed.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,6 +61,21 @@ _RESID_MANTISSA = math.ceil(RESIDUAL_CLIP * paillier.DEFAULT_SCALE)
 # product with an encoded multiplier, at the square of it
 _SEALED_SCALE = paillier.DEFAULT_SCALE
 _CROSS_SCALE = paillier.DEFAULT_SCALE ** 2
+# A round shares its two density calls between this process and a
+# worker only when the smaller call's kernel matrix (batch rows x
+# support rows) holds at least SHARE_MIN_KERNELS entries; below that the
+# job's pickling and pipe round trip cost more than the overlap saves.
+# Measured on a 2-vCPU Xeon KVM (CPython 3.11, one BLAS thread), per
+# round, over supports of 176-8,000 rows, widths 3-20 and batches 8-32:
+# shared took 1.2-1.9x the serial time at 4,752-7,024 entries, about
+# break-even (0.87-1.21x) at 16,000-32,000, and 0.55-0.95x from 64,000
+# (0.56-0.64x at plain-wide's 32 x 5,850 = 187,200).
+SHARE_MIN_KERNELS = 2 ** 16
+# Each party's (kde, store) by name while a round_map shares density.
+# A worker can reach what it inherited only through a module name, so
+# this lives here, filled and emptied by round_map alone; a round checks
+# its states against it by identity and computes serially on a mismatch.
+_FORKED: dict = {}
 
 
 @dataclass(frozen=True)
@@ -90,6 +116,25 @@ class DualPartyState:
     _logp: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
+    def _pending(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """The store rows of ``ids``, and those of them, sorted and
+        unique, whose log P the table does not hold yet."""
+        table = self._logp
+        if table is None or table[0] is not self.kde or \
+                table[1] is not self.store:
+            n = len(self.store.ids)
+            table = self._logp = (self.kde, self.store, np.empty(n),
+                                  np.zeros(n, dtype=bool))
+        index = self.store.index
+        rows = np.fromiter((index[i] for i in ids), np.intp)
+        return rows, np.unique(rows[~table[3][rows]])
+
+    def _fill(self, todo: np.ndarray, values: np.ndarray) -> None:
+        """Enter log P of the store rows ``todo`` from ``_pending``."""
+        _, _, table, filled = self._logp
+        table[todo] = values
+        filled[todo] = True
+
     def own_log_density(self, ids) -> np.ndarray:
         """log P(x) of the own rows with ``ids`` under ``kde``.
 
@@ -99,20 +144,11 @@ class DualPartyState:
         ``log_density_batch(kde, store.rows(ids))``.  The table starts
         afresh when ``kde`` or ``store`` is replaced by another object.
         """
-        table = self._logp
-        if table is None or table[0] is not self.kde or \
-                table[1] is not self.store:
-            n = len(self.store.ids)
-            table = self._logp = (self.kde, self.store, np.empty(n),
-                                  np.zeros(n, dtype=bool))
-        _, store, values, filled = table
-        index = store.index
-        rows = np.fromiter((index[i] for i in ids), np.intp)
-        todo = np.unique(rows[~filled[rows]])
+        rows, todo = self._pending(ids)
         if todo.size:
-            values[todo] = log_density_batch(self.kde, store.features[todo])
-            filled[todo] = True
-        return values[rows]
+            self._fill(todo, log_density_batch(self.kde,
+                                               self.store.features[todo]))
+        return self._logp[2][rows]
 
 
 @dataclass
@@ -251,8 +287,15 @@ class _RoundHalf:
         self.received_xhat = self.cross_mult = self.partner_resid = None
         self.plain_in = self.cross_in = None
 
-    def local_terms(self):
-        """Plaintext gradient part and own residual, both own-space.
+    def density_job(self) -> tuple:
+        """The party's name, the xhat it received and its batch rows
+        whose log P its table does not hold yet (``_density_terms``)."""
+        return (self.state.name, self.received_xhat,
+                self.state._pending(self.batch_ids)[1])
+
+    def local_terms(self, grad_logp: np.ndarray, logp_xhat: np.ndarray):
+        """Plaintext gradient part and own residual, both own-space,
+        from the density terms at the received xhat.
 
         The plaintext part is the alignment gradient plus the
         own-residual duality term; it is safe to ship because it is an
@@ -261,9 +304,6 @@ class _RoundHalf:
         s = self.state
         xhat = self.received_xhat
         _, align_grad = loss_eval("mse", xhat, self.batch)
-        # log P(xhat) comes from the gradient's kernel matrix
-        logp_xhat = np.empty(xhat.shape[0])
-        grad_logp = grad_log_density_batch(s.kde, xhat, out=logp_xhat)
         logp_x = s.own_log_density(self.batch_ids)
         own_resid = np.clip(logp_xhat - logp_x, -RESIDUAL_CLIP, RESIDUAL_CLIP)
         # d(lam * mean(r^2)) / d xhat_i = 2 lam r_i grad logP(xhat_i) / n
@@ -271,6 +311,65 @@ class _RoundHalf:
             own_resid[:, None] / xhat.shape[0]
         cross_mult = 2.0 * s.lam * grad_logp / xhat.shape[0]
         return plain_part, own_resid, cross_mult
+
+
+def _density_terms(kde: KdeModel, store: PartyDataset, xhat: np.ndarray,
+                   todo: np.ndarray) -> tuple:
+    """grad log P and log P at the rows of ``xhat``, from one kernel
+    matrix, and log P of the store rows ``todo`` (None if there are
+    none), all under ``kde``."""
+    logp_xhat = np.empty(xhat.shape[0])
+    grad = grad_log_density_batch(kde, xhat, out=logp_xhat)
+    logp_todo = log_density_batch(kde, store.features[todo]) \
+        if todo.size else None
+    return grad, logp_xhat, logp_todo
+
+
+def _forked_density_terms(job: tuple) -> tuple:
+    """``_density_terms`` for a ``density_job`` of the party it names,
+    whose KDE and store are in this process's ``_FORKED``."""
+    name, xhat, todo = job
+    return _density_terms(*_FORKED[name], xhat, todo)
+
+
+def _recorded(state: DualPartyState) -> bool:
+    """Whether ``round_map`` recorded this state's KDE and store for its
+    workers."""
+    kde, store = _FORKED.get(state.name, (None, None))
+    return kde is state.kde and store is state.store
+
+
+def _shares_density(state_a: DualPartyState, state_b: DualPartyState,
+                    rows: int) -> bool:
+    """Whether both density calls of a round of ``rows`` rows have
+    kernel matrices of at least ``SHARE_MIN_KERNELS`` entries."""
+    return rows * min(len(state_a.kde.support),
+                      len(state_b.kde.support)) >= SHARE_MIN_KERNELS
+
+
+@contextmanager
+def round_map(state_a: DualPartyState, state_b: DualPartyState,
+              batch_rows: int, use_encryption: bool) -> Iterator[Callable]:
+    """The ``pmap`` for rounds of up to ``batch_rows`` rows between two
+    states, and the only way a round shares its density work.
+
+    It is ``paillier.parallel_map()``'s map when the rounds have cipher
+    work or density calls large enough to share (``_shares_density``),
+    and ``serial_map`` otherwise.  To share, both states' KDE and store
+    enter ``_FORKED`` before the fork and leave it on exit, so a
+    worker finds them by party name in the memory it inherited and a
+    job never pickles a support.
+    """
+    share = _shares_density(state_a, state_b, batch_rows)
+    if share:
+        _FORKED.update((st.name, (st.kde, st.store))
+                       for st in (state_a, state_b))
+    try:
+        with paillier.parallel_map() if share or use_encryption else \
+                nullcontext(paillier.serial_map) as pmap:
+            yield pmap
+    finally:
+        _FORKED.clear()
 
 
 def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
@@ -293,7 +392,9 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
     With ``use_encryption`` off (test shadow mode) the same values move
     as plaintext float payloads; parameter updates then differ from the
     encrypted path only by fixed-point quantization.  ``pmap`` carries
-    the encrypted path's exponentiations (``paillier.parallel_map``).
+    the encrypted path's exponentiations (``paillier.parallel_map``)
+    and, when it comes from ``round_map`` and the round's kernel
+    matrices are large enough, B's density terms.
     """
     if {state_a.name, state_b.name} != {"A", "B"}:
         raise ValueError("states must be named A and B")
@@ -314,11 +415,29 @@ def run_dual_round(state_a: DualPartyState, state_b: DualPartyState,
             (len(batch_ids), halves[dst].state.model.in_width), round_tag,
             codec=(pack_matrix, unpack_matrix))
 
+    # both parties' density terms, before anything more is sent; a
+    # round that round_map lets share them computes A's in this process
+    # and B's in a worker of pmap.  Rows first seen here enter the
+    # states' own-row tables in this process either way.
+    ordered = (halves["A"], halves["B"])
+    jobs = [half.density_job() for half in ordered]
+    if _recorded(state_a) and _recorded(state_b) and \
+            _shares_density(state_a, state_b, len(batch_ids)):
+        terms = pmap(_forked_density_terms, jobs)
+    else:
+        terms = [_density_terms(half.state.kde, half.state.store, *job[1:])
+                 for half, job in zip(ordered, jobs)]
+    local = {}
+    for half, job, (grad, logp_xhat, logp_todo) in zip(ordered, jobs, terms):
+        if logp_todo is not None:
+            half.state._fill(job[2], logp_todo)
+        local[half.state.name] = half.local_terms(grad, logp_xhat)
+
     # (3-6) B -> A, then A -> B: the plaintext part of the gradient for
     # the partner generator's output, and the sealed own residual
     # logP(xhat) - logP(x) under the sender's key
     for src, dst in (("B", "A"), ("A", "B")):
-        plain, own_resid, halves[src].cross_mult = halves[src].local_terms()
+        plain, own_resid, halves[src].cross_mult = local[src]
         halves[dst].plain_in = hub.exchange_matrix(
             src, dst, MessageKind.GradTerm, plain, halves[dst].out.shape,
             round_tag, codec=(pack_matrix, unpack_matrix))

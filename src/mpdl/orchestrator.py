@@ -24,7 +24,6 @@ reflect exactly what each actor could have observed.  Per run:
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from random import Random
 
@@ -37,14 +36,15 @@ from .data import GammaSplit, PartyDataset, SplitSpec, \
     blinded_intersection, id_token, kfold_split, partition_features, \
     split_by_gamma
 from .density import fit_kde
-from .dual import DualModelPair, DualPartyState, dual_infer, run_dual_round
+from .dual import DualModelPair, DualPartyState, dual_infer, round_map, \
+    run_dual_round
 from .nn import apply_activation, as_batch, dual_hidden_width, init_mlp, \
     mlp_forward, sgd_step
-from .paillier import keygen, parallel_map, serial_map
+from .paillier import keygen
 from .privacy import SENSITIVITY_MODES, DpConfig, OneShotPerturber
 from .transport import Hub, MessageKind, ProtocolError, ProtocolMessage, \
-    expect_shape, pack_json, pack_matrix, pack_tokens, unpack_json, \
-    unpack_matrix, unpack_tokens
+    expect_shape, pack_json, pack_matrix, pack_tokens, receive_matrix, \
+    unpack_json, unpack_matrix, unpack_tokens
 
 # the share of rows held back as the test block; `mpdl --test-fraction`
 # overrides it
@@ -71,6 +71,9 @@ class MpdlConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.folds < 2:
+            raise ValueError(f"folds must be at least 2, got {self.folds}: "
+                             f"each iteration holds one fold out")
         if self.folds < self.max_iters:
             raise ValueError("folds must be >= max_iters: iterations draw "
                              "validation folds without replacement")
@@ -204,6 +207,9 @@ def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
     x_a = as_batch(x_a)
     x_b = as_batch(x_b)
     labels = np.asarray(labels)
+    for name, got in (("x_b", len(x_b)), ("labels", len(labels))):
+        if got != len(x_a):
+            raise ValueError(f"x_a has {len(x_a)} rows but {name} has {got}")
     for _ in range(epochs):
         order = rng.permutation(x_a.shape[0])
         for start in range(0, len(order), batch_size):
@@ -212,13 +218,15 @@ def split_train(hub: Hub, model: SplitCentralModel, x_a, x_b, labels,
             z_a, z_b = _partial_sums(hub, model, xa, xb, len(idx))
             step = central_forward_backward(model, z_a, z_b, labels[idx])
             new_central = sgd_step(model.central, step.central_grads, lr)
+            # C packs the delta once; A and B each check their delivery
+            delta = pack_matrix(step.delta)
             local = []
             for party, layer, x in (("A", model.local_a, xa),
                                     ("B", model.local_b, xb)):
-                local.append(party_backward(layer, hub.exchange_matrix(
-                    "C", party, MessageKind.DeltaError, step.delta,
-                    (x.shape[0], model.hidden_width),
-                    codec=(pack_matrix, unpack_matrix)), x, lr))
+                msg = hub.exchange("C", party, MessageKind.DeltaError, delta)
+                local.append(party_backward(layer, receive_matrix(
+                    MessageKind.DeltaError, "C", msg.payload,
+                    (x.shape[0], model.hidden_width), unpack_matrix), x, lr))
             model = SplitCentralModel(*local, new_central)
     return model
 
@@ -243,13 +251,14 @@ def train_dual_generators(state_a: DualPartyState, state_b: DualPartyState,
     runs one ``run_dual_round`` per consecutive ``batch_size`` slice of
     it, with ``protocol_rng`` and ``use_encryption``.  Rounds are tagged
     ``first_tag``, ``first_tag + 1``, ...; the next free tag is returned.
-    With encryption on, the rounds' cipher exponentiations share
-    ``paillier.parallel_map``'s worker processes, which are gone again
-    when this returns or raises.
+    The rounds' cipher exponentiations, and their density calls when
+    those are large enough, share the worker processes of
+    ``dual.round_map``, which are gone again when this returns or
+    raises.
     """
     tag = first_tag
-    pool = parallel_map() if use_encryption else nullcontext(serial_map)
-    with pool as pmap:
+    with round_map(state_a, state_b, min(batch_size, len(ids)),
+                   use_encryption) as pmap:
         for _ in range(epochs):
             order = order_rng.permutation(len(ids))
             for start in range(0, len(ids), batch_size):

@@ -25,16 +25,18 @@ fallback computes the same values.
 
 The vector operations take a ``pmap``, a map that returns a list in
 input order.  ``serial_map`` is the default.  ``parallel_map()``, which
-the dual-training loop opens once around an encrypted run's rounds,
-forks one worker process per usable CPU beyond the first
-(``os.sched_getaffinity``) and yields a map that computes the first
-contiguous share of the items in the calling process and the rest in
-the workers; on one CPU it forks nothing and yields ``serial_map``.
-The workers are not protocol actors: they hold no hub, send nothing
-over one, and only evaluate modular exponentiations for the process
-that forked them, whose keys they already share.  Every random draw
-stays in the calling process, in the serial order, so ciphertexts do
-not depend on the number of workers.
+the dual-training loop opens once around the rounds of an encrypted
+run or of a run whose density calls are large enough to share
+(``dual.round_map``), forks one worker process per usable CPU beyond
+the first (``os.sched_getaffinity``) and yields a map that computes the
+first contiguous share of the items in the calling process and the
+rest in the workers; on one CPU it forks nothing and yields
+``serial_map``.  The workers are not protocol actors: they hold no hub,
+send nothing over one, and only evaluate, for the process that forked
+them, modular exponentiations under keys they already share and one
+party's density terms of a dual round under a KDE they already share.
+Every random draw stays in the calling process, in the serial order,
+so ciphertexts do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -357,13 +359,14 @@ def _worker(conn, parent_ends) -> None:
 
 def _shared_map(conns, fn: Callable, items) -> list:
     """``fn`` over ``items`` cut into contiguous shares, one per worker
-    connection in ``conns`` plus the first, which this process computes;
+    connection in ``conns`` plus the first, which this process computes
+    and which is never smaller than another, so it holds the first item;
     results in input order.  Every share's reply is read, even when an
     earlier share raised, so the connections carry nothing into the
     next call."""
     items = list(items)
     shares = len(conns) + 1
-    cuts = [len(items) * k // shares for k in range(shares + 1)]
+    cuts = [-(-len(items) * k // shares) for k in range(shares + 1)]
     busy = []
     for conn, a, b in zip(conns, cuts[1:-1], cuts[2:]):
         if a < b:
@@ -389,10 +392,12 @@ def parallel_map() -> Iterator[Callable]:
     rest in the workers; the workers are closed and joined on exit,
     whether the block returns or raises.  On one CPU it forks nothing
     and yields ``serial_map``.  The mapped function and its arguments
-    are pickled, so they must be module-level.  Fork, not spawn: a
-    worker starts as a copy of this process, with nothing to import,
-    and it only unpickles and exponentiates, so it takes none of the
-    locks a fork could copy while another thread holds them.
+    are pickled, so they must be module-level; what a worker needs
+    beyond them, such as a KDE, it finds in the memory the fork copied.
+    Fork, not spawn: a worker starts as a copy of this process, with
+    nothing to import, and it only unpickles and runs integer and numpy
+    arithmetic, so it takes none of the package's locks that a fork
+    could copy while another thread holds them.
     """
     workers = len(os.sched_getaffinity(0)) - 1 \
         if hasattr(os, "sched_getaffinity") else 0

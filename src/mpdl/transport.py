@@ -22,8 +22,10 @@ predicates evaluated over them after a protocol run.
 Two interchangeable backends exist: in-process queues (default) and
 TCP sockets on localhost with one port per directed channel.  Both
 move the same encoded frames, so transcripts are byte-identical for
-the same seed.  A hub's timeout is set once, when its channels are
-built, and bounds every blocking receive (and every TCP send).
+the same seed.  A local receive never blocks: the three actors share
+one thread, so an empty queue means a dropped frame and raises at once.
+A hub's timeout is set once, when its channels are built, and bounds
+every TCP receive and send.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import select
 import socket
 import struct
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -243,42 +244,31 @@ def unpack_json(payload: bytes):
 # -- channels ----------------------------------------------------------------
 
 class _LocalChannel:
-    """FIFO byte-frame queue with reads that block up to ``timeout``."""
+    """FIFO byte-frame queue.  Sender and receiver share one thread, so
+    a receive on an empty queue can only be a dropped frame, and it
+    raises at once."""
 
-    def __init__(self, timeout: float):
-        self._timeout = timeout
+    def __init__(self):
         self._frames = deque()
-        self._cond = threading.Condition()
         self._closed = False
 
     def send(self, frame: bytes) -> None:
-        with self._cond:
-            if self._closed:
-                raise ProtocolError("channel closed")
-            self._frames.append(frame)
-            self._cond.notify()
+        if self._closed:
+            raise ProtocolError("channel closed")
+        self._frames.append(frame)
 
     def recv(self) -> bytes:
-        deadline = time.monotonic() + self._timeout
-        with self._cond:
-            while not self._frames:
-                if self._closed:
-                    raise ProtocolError("channel closed")
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ProtocolError("recv timed out")
-                self._cond.wait(remaining)
-            return self._frames.popleft()
+        if not self._frames:
+            raise ProtocolError("channel closed" if self._closed else
+                                "recv on an empty channel")
+        return self._frames.popleft()
 
     def pending(self) -> bool:
         """Whether a frame waits unread."""
-        with self._cond:
-            return bool(self._frames)
+        return bool(self._frames)
 
     def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        self._closed = True
 
 
 class _TcpChannel:
@@ -392,11 +382,11 @@ class Hub:
                  timeout: float = DEFAULT_TIMEOUT):
         if backend not in ("local", "tcp"):
             raise ProtocolError(f"unknown backend {backend!r}")
-        channel = _LocalChannel if backend == "local" else _TcpChannel
         self.transcript = Transcript()
         self._lock = threading.Lock()
         self._next_id = 0
-        self._channels = {(s, r): channel(timeout)
+        self._channels = {(s, r): _LocalChannel() if backend == "local"
+                          else _TcpChannel(timeout)
                           for s in ACTORS for r in ACTORS if s != r}
         # the id of the last frame each channel's receiver took
         self._last_taken = dict.fromkeys(self._channels, -1)

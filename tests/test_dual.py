@@ -2,8 +2,11 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import random
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -680,3 +683,95 @@ def test_table_is_private_to_each_state(keypairs):
     assert copy._logp is None and fresh._logp is None
     copy.own_log_density([0, 1, 2])
     assert copy._logp[2] is not state_a._logp[2]
+
+
+# -- density work shared with a worker --------------------------------------------
+
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="needs a second usable CPU")
+
+
+def _wide_states(keypairs):
+    """States whose 32-row density calls meet the sharing rule."""
+    state_a, state_b = make_states(keypairs, n=2100, d_a=2, d_b=3)
+    assert mpdl.dual._shares_density(state_a, state_b, 32)
+    return state_a, state_b
+
+
+def _three_rounds(keypairs, monkeypatch, share):
+    """Frames, weights, own-row tables and this process's gradient calls
+    after three overlapping 32-row rounds."""
+    state_a, state_b = _wide_states(keypairs)
+    calls, original = [], mpdl.dual.grad_log_density_batch
+
+    def counting(*args, **kwargs):
+        calls.append(os.getpid())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mpdl.dual, "grad_log_density_batch", counting)
+    pool = mpdl.dual.round_map(state_a, state_b, 32, False) if share \
+        else nullcontext(paillier.serial_map)
+    hub = Hub()
+    try:
+        with pool as pmap:
+            for tag, start in enumerate((0, 16, 40)):
+                run_dual_round(state_a, state_b, range(start, start + 32),
+                               hub, random.Random(tag), use_encryption=False,
+                               round_tag=tag, pmap=pmap)
+        frames = hub.transcript.frames()
+    finally:
+        hub.close()
+    weights = [layer.weights.tobytes() + layer.bias.tobytes()
+               for st in (state_a, state_b) for layer in st.model.layers]
+    tables = [(st._logp[3].tobytes(), st._logp[2][st._logp[3]].tobytes())
+              for st in (state_a, state_b)]
+    return frames, weights, tables, list(calls)
+
+
+@two_cpus
+def test_shared_density_rounds_match_serial_ones(keypairs, monkeypatch):
+    shared = _three_rounds(keypairs, monkeypatch, share=True)
+    serial = _three_rounds(keypairs, monkeypatch, share=False)
+    assert shared[:3] == serial[:3]
+    # rows 0-71 were each evaluated once, into the tables of this process
+    assert [np.frombuffer(mask, bool).sum() for mask, _ in shared[2]] == \
+        [72, 72]
+    # this process computed A's gradient only; a worker computed B's
+    assert set(shared[3]) == set(serial[3]) == {os.getpid()}
+    assert (len(shared[3]), len(serial[3])) == (3, 6)
+    assert mpdl.dual._FORKED == {}
+
+
+def test_round_map_does_not_fork_below_the_rule(keypairs):
+    state_a, state_b = make_states(keypairs)
+    with mpdl.dual.round_map(state_a, state_b, 8, False) as pmap:
+        assert pmap is paillier.serial_map
+        assert mpdl.dual._FORKED == {}
+        assert multiprocessing.active_children() == []
+
+
+@two_cpus
+def test_a_density_job_that_raises_in_a_worker_raises_here(keypairs,
+                                                           monkeypatch):
+    state_a, state_b = _wide_states(keypairs)
+    caller, original = os.getpid(), mpdl.dual.grad_log_density_batch
+
+    def failing_in_a_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            raise RuntimeError("injected in a worker")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mpdl.dual, "grad_log_density_batch",
+                        failing_in_a_worker)
+    hub = Hub()
+    try:
+        with pytest.raises(RuntimeError, match="^injected in a worker$"):
+            with mpdl.dual.round_map(state_a, state_b, 32, False) as pmap:
+                assert len(multiprocessing.active_children()) >= 1
+                run_dual_round(state_a, state_b, range(32), hub,
+                               random.Random(0), use_encryption=False,
+                               pmap=pmap)
+    finally:
+        hub.close()
+    assert multiprocessing.active_children() == []
+    assert mpdl.dual._FORKED == {}

@@ -1,6 +1,7 @@
 """Start-up cost: importing the package must not load ``scipy.stats``,
-nor ``multiprocessing``, which only an encrypted run's dual training
-loads; the package root itself loads none of its modules."""
+nor ``multiprocessing``, which only the dual training of an encrypted
+run or of a run with large KDEs loads; the package root itself loads
+none of its modules."""
 
 import subprocess
 import sys

@@ -84,6 +84,13 @@ def test_config_validation():
         MpdlConfig(gamma=0.3, batch_size=0)
 
 
+def test_config_refuses_a_single_fold():
+    # kfold_split needs two folds; the run used to fail only after keygen,
+    # perturbation, both KDE fits, the alignment and the label hand-off
+    with pytest.raises(ValueError, match="^folds must be at least 2, got 1"):
+        MpdlConfig(gamma=0.3, folds=1, max_iters=1)
+
+
 def test_prepare_experiment_structure(world):
     split = world.split
     n = 220
@@ -304,6 +311,60 @@ def test_split_train_checks_its_rows_once_at_entry(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("count", [8, 3])
+def test_split_train_refuses_labels_of_another_row_count(count):
+    # 8 labels trained on the first 6 without a word, 3 raised IndexError
+    rng = np.random.default_rng(8)
+    x_a, x_b = rng.uniform(size=(6, 3)), rng.uniform(size=(6, 2))
+    model = init_split_central(3, 2, 2, rng)
+    hub = Hub()
+    try:
+        with pytest.raises(ValueError, match=f"^x_a has 6 rows but labels "
+                                             f"has {count}$"):
+            split_train(hub, model, x_a, x_b, np.arange(count) % 2, 0.1, 1,
+                        2, np.random.default_rng(0))
+    finally:
+        hub.close()
+    assert len(hub.transcript) == 0
+
+
+def test_split_train_refuses_x_b_of_another_row_count():
+    rng = np.random.default_rng(8)
+    x_a, x_b = rng.uniform(size=(6, 3)), rng.uniform(size=(5, 2))
+    model = init_split_central(3, 2, 2, rng)
+    hub = Hub()
+    try:
+        with pytest.raises(ValueError, match="^x_a has 6 rows but x_b has "
+                                             "5$"):
+            split_train(hub, model, x_a, x_b, np.arange(6) % 2, 0.1, 1, 2,
+                        np.random.default_rng(0))
+    finally:
+        hub.close()
+
+
+def test_split_train_packs_each_delta_once(monkeypatch):
+    # per step: A's and B's partial sums, and one delta for both parties
+    rng = np.random.default_rng(8)
+    x_a, x_b = rng.uniform(size=(6, 3)), rng.uniform(size=(6, 2))
+    model = init_split_central(3, 2, 2, rng)
+    packed, original = [], mpdl.orchestrator.pack_matrix
+
+    def counting(arr):
+        packed.append(np.shape(arr))
+        return original(arr)
+
+    monkeypatch.setattr(mpdl.orchestrator, "pack_matrix", counting)
+    hub = Hub()
+    try:
+        split_train(hub, model, x_a, x_b, np.arange(6) % 2, 0.1, 1, 2,
+                    np.random.default_rng(0))
+        kinds = Counter(m.kind for m in hub.transcript)
+    finally:
+        hub.close()
+    assert len(packed) == 3 * 3
+    assert kinds == {MessageKind.PartialSum: 6, MessageKind.DeltaError: 6}
+
+
 def test_dual_round_checks_no_array_again(keypairs, monkeypatch):
     # a round's rows come from a PartyDataset and its matrices from
     # receive_matrix, so the generator passes compute without a check
@@ -436,6 +497,32 @@ def test_plaintext_run_forks_nothing(monkeypatch):
     seen = _count_workers_per_round(monkeypatch)
     _golden_run(Hub(), use_encryption=False)
     assert seen and set(seen) == {0}
+
+
+def _wide_plaintext_run(hub):
+    """A plaintext run whose density calls share a worker (32 rows
+    against supports over 2,000), and its frames."""
+    world = prepare_experiment(linear_task(3600, 2, 2, seed=4), 0.3, seed=4)
+    cfg = MpdlConfig(gamma=0.3, epsilon=8.0, seed=4, dual_epochs=1,
+                     central_epochs=1, max_iters=1, use_encryption=False)
+    try:
+        result = mpdl_train(world, cfg, hub)
+        assert mpdl.dual._shares_density(result.state_a, result.state_b,
+                                         cfg.batch_size)
+        return hub.transcript.frames()
+    finally:
+        hub.close()
+
+
+def test_wide_plaintext_run_on_one_cpu_forks_nothing(monkeypatch):
+    seen = _count_workers_per_round(monkeypatch)
+    shared = _wide_plaintext_run(Hub())
+    assert seen and set(seen) == {len(os.sched_getaffinity(0)) - 1}
+    seen.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _wide_plaintext_run(Hub()) == shared
+    assert seen and set(seen) == {0}
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cut, got", [(np.s_[:-1], (24, 2)),

@@ -4,6 +4,7 @@ import gc
 import re
 import struct
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -339,6 +340,17 @@ def test_hub_recv_timeout():
     hub = Hub(timeout=0.05)
     with pytest.raises(ProtocolError):
         hub.recv("B", "A")
+    hub.close()
+
+
+def test_local_hub_refuses_an_empty_recv_at_once():
+    # the three actors share one thread, so no frame can still arrive;
+    # the recv used to wait out the default 30 s timeout
+    hub = Hub()
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="^recv on an empty channel$"):
+        hub.recv("B", "A")
+    assert time.monotonic() - start < 1.0
     hub.close()
 
 
