@@ -236,7 +236,8 @@ class _PaillierCodec:
             raise OverflowError(f"multiplier {peak!r} could take a cross "
                                 f"term past the decryption bound")
         cv = paillier.dual_scalar_product(
-            pk, paillier.negate_cipher(pk, resid), mult, self.pmap)
+            pk, paillier.negate_cipher(pk, resid, self.pmap), mult,
+            self.pmap)
         return pack_ciphers(pk.key_id, cv.scale, *mult.shape, cv.ciphertexts)
 
     def open(self, sk: SecretKey, payload: bytes, sender: str,

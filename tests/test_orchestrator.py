@@ -15,6 +15,7 @@ import mpdl.central
 import mpdl.dual
 import mpdl.nn
 import mpdl.orchestrator
+import mpdl.paillier
 from mpdl.central import init_split_central
 from mpdl.data import PartyDataset
 from mpdl.density import fit_kde
@@ -382,8 +383,8 @@ def test_dual_round_checks_no_array_again(keypairs, monkeypatch):
 # sha256 over every frame of one seeded run, in send order: a refactor of
 # any protocol step must leave the bytes on the wire unchanged
 GOLDEN_FRAMES = {
-    "encrypted": "8412f1c543189a391e715d1219cecf24"
-                 "e5609d5da9e72ef11d641d731bfd89bc",
+    "encrypted": "d2bfa186479397955d4e52afab535938"
+                 "9f7f0471e1027e95c8883dd5e3d5721d",
     "plaintext": "b9cf629eff157f5c6647ffd70a02bcf7"
                  "b3d301773658b158236904652ba66386",
 }
@@ -410,8 +411,8 @@ def test_transcript_frames_match_golden_digest(mode, backend):
 # the same task over three dual epochs and two iterations, so every
 # co-occurring id takes part in several rounds of one run
 GOLDEN_FRAMES_MULTI_EPOCH = {
-    "encrypted": "fa9473da40e53bc4b96d113efdd6c88d"
-                 "c98d911ddeb82f50376100fe5c0877a2",
+    "encrypted": "aa44fdb947ef28ca5eda740b476e4e91"
+                 "cda12b37ac0c390c627df9c7e8d2e5b4",
     "plaintext": "1b4584d241ea708eb8957fbca48f4a0f"
                  "8f30f9425e2ff32befe194bcd8e207ed",
 }
@@ -497,6 +498,45 @@ def test_plaintext_run_forks_nothing(monkeypatch):
     seen = _count_workers_per_round(monkeypatch)
     _golden_run(Hub(), use_encryption=False)
     assert seen and set(seen) == {0}
+
+
+def test_only_an_encrypted_run_builds_encryption_tables():
+    tables = mpdl.paillier._fixed_base_table
+    tables.cache_clear()
+    _golden_run(Hub(), use_encryption=False)
+    assert tables.cache_info().currsize == 0
+    _golden_run(Hub())
+    # both keys, each mod p^2 and q^2, built once in this process
+    assert tables.cache_info().currsize == tables.cache_info().misses == 4
+
+
+# sha256 over the golden encrypted run's final generator weights and
+# biases and its report's scores: the encryption randomness may change
+# the frames, but never a decrypted value, so never these
+GOLDEN_VALUES_ENCRYPTED = ("fff6659f4a629fb31743df84dc78e906"
+                           "ee8b24b604981c79adee890247654034")
+
+
+def test_encrypted_run_values_match_golden_digest():
+    world = prepare_experiment(linear_task(80, 2, 2, seed=3), 0.3, seed=3)
+    cfg = MpdlConfig(gamma=0.3, epsilon=8.0, seed=3, key_bits=512,
+                     dual_epochs=1, central_epochs=2, max_iters=1,
+                     batch_size=16)
+    hub = Hub()
+    try:
+        result = mpdl_train(world, cfg, hub)
+    finally:
+        hub.close()
+    digest = hashlib.sha256()
+    for model in (result.pair.a_to_b, result.pair.b_to_a):
+        for layer in model.layers:
+            digest.update(layer.weights.tobytes())
+            digest.update(layer.bias.tobytes())
+    report = result.report
+    digest.update(np.array([report.accuracy_joint, report.accuracy_dual,
+                            report.accuracy_unlabeled,
+                            report.inference_mae]).tobytes())
+    assert digest.hexdigest() == GOLDEN_VALUES_ENCRYPTED
 
 
 def _wide_plaintext_run(hub):

@@ -123,6 +123,84 @@ def test_crt_decrypt_matches_textbook(crt_keys):
                                                                prod)
 
 
+class _FixedBits:
+    """An rng whose ``getrandbits`` returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def getrandbits(self, bits):
+        assert bits == paillier.ALPHA_BITS
+        return self.value
+
+
+def test_encryption_is_the_fixed_base_formula(crt_keys):
+    pk, sk = crt_keys.public, crt_keys.secret
+    n, n2 = pk.n, pk.n_squared
+    h_s = pow(paillier._key_base(n), n, n2)
+    rng = random.Random(41)
+    alphas = [0, 1, 2 ** paillier.ALPHA_BITS - 1,
+              rng.getrandbits(paillier.ALPHA_BITS)]
+    for alpha in alphas:
+        m = rng.randrange(n)
+        want = (1 + m * n) * pow(h_s, alpha, n2) % n2
+        for key in (pk, sk):
+            assert encrypt_mantissa(key, m, _FixedBits(alpha)) == want
+    # the alpha is one getrandbits draw per encryption, in order
+    values = [0.5, -1.25, 3.0]
+    draws = random.Random(42)
+    want = [encrypt_mantissa(pk, encode(v, n).mantissa,
+                             _FixedBits(draws.getrandbits(
+                                 paillier.ALPHA_BITS))) for v in values]
+    rng = random.Random(42)
+    assert encrypt_vector(sk, values, rng).ciphertexts == tuple(want)
+    assert rng.getstate() == draws.getstate()
+
+
+def test_fixed_base_ciphertexts_decrypt_to_their_plaintexts(crt_keys):
+    pk, sk = crt_keys.public, crt_keys.secret
+    n = pk.n
+    bound = plaintext_bound(n)
+    rng = random.Random(43)
+    signed = [0, 1, -1, bound - 1, -(bound - 1), n // 3 - 1,
+              -(n // 3 - 1)] + [rng.randrange(-bound + 1, bound)
+                                for _ in range(6)]
+    for key in (pk, sk):
+        cts = [encrypt_mantissa(key, m % n, rng) for m in signed]
+        for m, c in zip(signed, cts):
+            assert decrypt_mantissa(sk, c) == m % n == \
+                _textbook_decrypt(crt_keys, c)
+        small = [(m, c) for m, c in zip(signed, cts) if abs(m) < bound]
+        for m, c in small:
+            assert paillier._decrypt_mod_p(sk, c) == m
+        cv = CipherVector(tuple(c for _, c in small), DEFAULT_SCALE,
+                          pk.key_id)
+        assert decrypt_vector(sk, cv, bound=bound).tolist() == \
+            [m / DEFAULT_SCALE for m, _ in small]
+
+
+def test_key_base_depends_on_n_alone_and_is_coprime_to_it(crt_keys):
+    n = crt_keys.public.n
+    h = paillier._key_base(n)
+    assert 1 < h < n and math.gcd(h, n) == 1
+    other = keygen(512, random.Random(4321)).public.n
+    assert paillier._key_base(other) != h
+
+
+def test_key_base_refuses_a_base_sharing_a_factor_with_n():
+    # on tiny moduli the hashed x often shares a factor with n
+    refused = 0
+    for p, q in ((3, 5), (3, 7), (3, 11), (3, 13), (5, 7), (5, 11)):
+        try:
+            h = paillier._key_base(p * q)
+        except ValueError as exc:
+            assert "not coprime" in str(exc)
+            refused += 1
+        else:
+            assert math.gcd(h, p * q) == 1
+    assert refused
+
+
 def test_plaintext_bound_stays_below_half_of_p(crt_keys):
     pk, sk = crt_keys.public, crt_keys.secret
     bound = plaintext_bound(pk.n)
@@ -340,6 +418,50 @@ def test_dual_scalar_product_inverts_once_per_row(keys, monkeypatch):
     calls.clear()
     dual_scalar_product(keys.public, cv, [[0.5, 2.0]])
     assert calls == []
+
+
+def _pow_oracle(n, c, k):
+    """c^k mod n^2, or c^-(n - k) for k in the negative band, by ``pow``."""
+    return pow(c, k if k <= n // 2 else k - n, n * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scale_row_chain_equals_pow_property(keys, data):
+    pk = keys.public
+    n = pk.n
+    top = n // 3 - 1  # the encoder's largest magnitude
+    magnitude = st.one_of(st.just(0), st.integers(1, 2 ** 48),
+                          st.integers(0, top), st.just(top))
+    signed = st.tuples(magnitude, st.booleans()).map(
+        lambda t: (n - t[0]) % n if t[1] else t[0])
+    ks = data.draw(st.lists(signed, min_size=1, max_size=6))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    c = encrypt_mantissa(pk, seed % n, random.Random(seed))
+    assert paillier._scale_row(pk, (c, ks)) == \
+        [_pow_oracle(n, c, k) for k in ks]
+
+
+def test_scale_row_examples(keys):
+    pk = keys.public
+    n = pk.n
+    c = encrypt_mantissa(pk, 5, random.Random(17))
+    top = n // 3 - 1
+    for ks in ([0], [1], [n - 1], [top], [n - top], [0, 0],
+               [2 ** 47, n - 2 ** 47, 0, 3, n - 3], []):
+        assert paillier._scale_row(pk, (c, ks)) == \
+            [_pow_oracle(n, c, k) for k in ks]
+
+
+def test_negate_cipher_gives_the_same_ciphertexts_on_every_map(keys):
+    pk = keys.public
+    cv = encrypt_vector(keys.secret, np.linspace(-2.0, 2.0, 9),
+                        random.Random(16))
+    serial = negate_cipher(pk, cv)
+    assert serial.ciphertexts == tuple(pow(c, -1, pk.n_squared)
+                                       for c in cv.ciphertexts)
+    with parallel_map() as pmap:
+        assert negate_cipher(pk, cv, pmap) == serial
 
 
 def test_dual_scalar_product_checks_its_key_and_rows(keys):
