@@ -1,20 +1,20 @@
 """Command line front end.
 
-Four subcommands: ``mpdl`` (accuracy table over co-occurrence
+Three subcommands: ``mpdl`` (accuracy table over co-occurrence
 fractions), ``privacy-sweep`` (accuracy and inference error against the
-privacy budget), ``graph`` (link-prediction AUC over co-occurrence
+privacy budget) and ``graph`` (link-prediction AUC over co-occurrence
 fractions, each run going through the same DP perturbation and blinded
-alignment as ``mpdl``) and ``selftest`` (built-in oracle checks).  Each
-setting is declared once, in ``MpdlConfig`` or ``DEFAULTS``, and the
-type of its default picks its parser; ``SETTINGS`` names the settings
-each subcommand reads, the only ones it takes as flags.  Settings
-resolve as CLI flags over config-file entries over built-in defaults;
-the seed additionally falls back to the MPDL_SEED environment variable.
-Every output CSV embeds the resolved settings and a content hash of the
-input files, and identical settings produce byte-identical files.
+alignment as ``mpdl``).  Each setting is declared once, in
+``MpdlConfig`` or ``DEFAULTS``, and the type of its default picks its
+parser; ``SETTINGS`` names the settings each subcommand reads, the only
+ones it takes as flags.  Settings resolve as CLI flags over config-file
+entries over built-in defaults; the seed additionally falls back to the
+MPDL_SEED environment variable.  Every output CSV embeds the resolved
+settings and a content hash of the input files, and identical settings
+produce byte-identical files.
 
-Exit codes: 0 success, 1 selftest failure, 2 invalid configuration,
-3 protocol violation, 4 I/O failure.
+Exit codes: 0 success, 2 invalid configuration, 3 protocol violation,
+4 I/O failure.
 """
 
 from __future__ import annotations
@@ -278,11 +278,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    from .selftest import run_selftest
-    return run_selftest()
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpdl", description="multi-party dual learning simulator")
@@ -319,9 +314,6 @@ def make_parser() -> argparse.ArgumentParser:
     subparsers["graph"].add_argument(
         "--edges", help="edge list: one 'src dst' per line")
     subparsers["graph"].add_argument("--features", help="node feature CSV")
-
-    p_self = sub.add_parser("selftest", help="run the built-in oracle checks")
-    p_self.set_defaults(func=cmd_selftest)
     return parser
 
 

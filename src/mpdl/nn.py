@@ -272,7 +272,7 @@ def loss_eval(kind: str, prediction, target) -> tuple[float, np.ndarray]:
         value = float((diff * diff).sum() / n)
         return value, 2.0 * diff / n
     if kind == "cross_entropy":
-        picked = np.clip((prediction * target).sum(axis=1), 1e-300, None)
-        value = float(-np.log(picked).mean())
+        picked = np.maximum((prediction * target).sum(axis=1), 1e-300)
+        value = float(-np.log(picked).sum() / n)
         return value, (prediction - target) / n
     raise ValueError(f"unknown loss kind {kind!r}")

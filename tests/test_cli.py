@@ -504,11 +504,6 @@ def test_misspelt_config_boolean_exits_2(dataset_csv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    assert "9/9 checks passed" in capsys.readouterr().out
-
-
 def test_missing_dataset_exits_4(tmp_path):
     code = main(["mpdl", "--dataset", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "out.csv")])
@@ -572,5 +567,5 @@ def test_help_exits_0():
     proc = subprocess.run([sys.executable, "-m", "mpdl.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    for sub in ("mpdl", "privacy-sweep", "graph", "selftest"):
+    for sub in ("mpdl", "privacy-sweep", "graph"):
         assert sub in proc.stdout

@@ -372,6 +372,20 @@ def test_homomorphic_ops_match_plain_arithmetic(keys):
     assert np.all(np.abs(got_mul - xs * ys) <= tol)
 
 
+def test_homomorphic_ops_exact_on_grid_operands_beyond_100(keys):
+    """Operands on the fixed-point grid, up to 700 in magnitude and with
+    negative multipliers, give exact sums and products."""
+    rng = random.Random(11)
+    a = np.array([1.25, -3.5, 0.0, 700.125])
+    b = np.array([-0.75, 2.0, -41.0, 0.5])
+    ca = encrypt_vector(keys.public, a, rng)
+    cb = encrypt_vector(keys.public, b, rng)
+    got_add = decrypt_vector(keys.secret, add_cipher(keys.public, ca, cb))
+    assert np.array_equal(got_add, a + b)
+    got_mul = decrypt_vector(keys.secret, mul_plain(keys.public, ca, b))
+    assert np.array_equal(got_mul, a * b)
+
+
 def test_accumulated_sum_error_bound(keys):
     """Summing 50 ciphertexts keeps total error within 50 quanta."""
     rng = random.Random(10)

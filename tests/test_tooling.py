@@ -1,6 +1,7 @@
 """The test configuration itself: a failing test must not stop the run;
 and rules about the package's source that no single module test sees."""
 
+import argparse
 import ast
 import re
 import subprocess
@@ -53,30 +54,20 @@ def test_only_transport_sends_or_receives_on_a_hub():
     assert calls == []
 
 
-# top-level definitions outside the transport that call unpack_matrix,
-# and why each may take a matrix without a receiver's shape check
-UNCHECKED_MATRIX_READS = {
-    "selftest.transport_frames_round_trip":
-        "decodes a frame it encoded itself; no hub delivers it",
-}
-
-
 def test_only_transport_reads_a_matrix_payload():
     # a matrix delivered through Hub.exchange_matrix (or read with
     # transport.receive_matrix) is checked by kind, sender and shape on
     # receipt; a bare unpack_matrix would take a delivery of any shape
-    readers = set()
+    readers = []
     for path in sorted((ROOT / "src" / "mpdl").glob("*.py")):
         if path.name == "transport.py":
             continue
-        for stmt in ast.parse(path.read_text(), str(path)).body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and "unpack_matrix" in (
-                        getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None)):
-                    readers.add(f"{path.stem}."
-                                f"{getattr(stmt, 'name', '<module>')}")
-    assert readers == set(UNCHECKED_MATRIX_READS)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "unpack_matrix" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 # parameters that keep a default no production call overrides, and why
@@ -210,15 +201,11 @@ def _public_definitions():
 
 def _production_names():
     """Names that production code reads, by name or as an attribute,
-    outside a definition of the same name; a selftest check registered
-    with ``@_check`` counts as read."""
+    outside a definition of the same name."""
     used = set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if any(getattr(d, "id", None) == "_check"
-                   for d in node.decorator_list):
-                used.add(node.name)
             inside = inside | {node.name}
         elif isinstance(node, ast.Name) and \
                 isinstance(node.ctx, ast.Load):
@@ -260,6 +247,28 @@ def test_readme_settings_lists_match_the_cli():
                            re.S)
     assert len(sentences) == 1
     assert _backticked(sentences[0]) == list(cli._TRAINING)
+
+
+def _exit_codes(text: str) -> list[tuple[str, str]]:
+    sentences = re.findall(r"Exit codes: (.*?)\.\n", text, re.S)
+    assert len(sentences) == 1
+    return re.findall(r"(\d+) ([^,]+)", " ".join(sentences[0].split()))
+
+
+def test_readme_commands_and_exit_codes_match_the_cli():
+    # README's command-line block runs each subcommand of the parser and
+    # no other, and its exit codes are the CLI docstring's, so a command
+    # or a code that goes cannot be left behind there
+    from mpdl import cli
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^## Command line\n.*?^```sh\n(.*?)^```", readme,
+                        re.S | re.M)
+    assert len(blocks) == 1
+    subparsers, = (action for action in cli.make_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert set(re.findall(r"^mpdl ([\w-]+)", blocks[0], re.M)) == \
+        set(subparsers.choices)
+    assert _exit_codes(readme) == _exit_codes(cli.__doc__)
 
 
 def test_readme_module_map_lists_every_module():
